@@ -15,6 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import harness, io
 
@@ -162,6 +164,10 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not a config error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # bad numeric arguments to the bound evaluators are config errors
         print(f"config error: {exc}", file=sys.stderr)

@@ -92,7 +92,8 @@ def generate_action_set(rng: np.random.Generator, d: int, K: int) -> ActionSet:
     while zero_rows.any():
         mat[zero_rows] = rng.integers(0, 2, size=(int(zero_rows.sum()), d))
         zero_rows = ~mat.any(axis=1)
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+    # 0/1 rows: the sum is the exact squared norm, so this equals np.linalg.norm
+    mat /= np.sqrt(mat.sum(axis=1, keepdims=True))
     return ActionSet._from_validated(mat)
 
 

@@ -12,25 +12,17 @@ actions whose conversions may still be in flight.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WindowedEstimator", "WindowEntry"]
+__all__ = ["WindowedEstimator"]
 
 # Re-invert from scratch whenever the rank-one updated inverse drifts past
 # this, and unconditionally every _REINVERT_PERIOD updates.
 _FIDELITY_TOL = 1e-8
 _REINVERT_PERIOD = 1000
-
-
-@dataclass
-class WindowEntry:
-    round_index: int
-    action: np.ndarray
-    cached_norm: float
-    converted: bool = False
+# rows allocated for a fresh window before it starts doubling
+_INITIAL_WINDOW_ROWS = 8
 
 
 class WindowedEstimator:
@@ -40,6 +32,11 @@ class WindowedEstimator:
     matrix over all recorded actions, ``V_inv`` its incrementally
     maintained inverse, ``B`` the sum of actions whose conversion arrived
     in time. ``t`` counts rounds, starting at 1 with no actions recorded.
+
+    The window is a ring of the last ``min(m, t - 1)`` rounds: round ``r``
+    lives in row ``(r - 1) % m`` of the action, cached-norm and converted
+    arrays. The arrays double until they hold ``m`` rows, so a window as
+    long as the horizon allocates only about as many rows as rounds played.
     """
 
     def __init__(self, d: int, lam: float, m: int):
@@ -56,8 +53,11 @@ class WindowedEstimator:
         self.V = lam * np.eye(d)
         self.V_inv = (1.0 / lam) * np.eye(d)
         self.B = np.zeros(d)
-        self._window: deque[WindowEntry] = deque()
-        self._by_round: dict[int, WindowEntry] = {}
+        rows = min(self.m, _INITIAL_WINDOW_ROWS)
+        self._actions = np.empty((rows, d))
+        self._norms = np.empty(rows)
+        self._converted = np.zeros(rows, dtype=bool)
+        self._size = 0  # rounds in the window
         self._updates = 0
         self._eye = np.eye(d)
         # running window norm sum, re-fsummed periodically to kill drift
@@ -90,17 +90,23 @@ class WindowedEstimator:
             self._reinvert()
         cached = math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
         if self.m > 0:
-            entry = WindowEntry(self.t, a.copy(), cached)
-            self._window.append(entry)
-            self._by_round[entry.round_index] = entry
+            slot = (self.t - 1) % self.m
+            evicted = None
+            if self._size == self.m:
+                evicted = float(self._norms[slot])  # round t - m
+            else:
+                self._size += 1
+                if self._size > len(self._norms):
+                    self._grow()
+            self._actions[slot] = a
+            self._norms[slot] = cached
+            self._converted[slot] = False
             self._cached_sum += cached
-            if len(self._window) > self.m:
-                old = self._window.popleft()
-                del self._by_round[old.round_index]
-                self._cached_sum -= old.cached_norm
+            if evicted is not None:
+                self._cached_sum -= evicted
             self._cached_ops += 1
             if self._cached_ops >= 512:
-                self._cached_sum = math.fsum(e.cached_norm for e in self._window)
+                self._cached_sum = math.fsum(self._norms[:self._size].tolist())
                 self._cached_ops = 0
         self.t += 1
 
@@ -110,10 +116,11 @@ class WindowedEstimator:
         Conversions for evicted (too old) or unknown rounds are silently
         dropped; repeat conversions for the same round are no-ops.
         """
-        entry = self._by_round.get(round_index)
-        if entry is not None and not entry.converted:
-            self.B += entry.action
-            entry.converted = True
+        if self.t - self._size <= round_index < self.t:
+            slot = (round_index - 1) % self.m
+            if not self._converted[slot]:
+                self.B += self._actions[slot]
+                self._converted[slot] = True
 
     def estimate(self) -> np.ndarray:
         """Current windowed least-squares parameter estimate."""
@@ -138,10 +145,9 @@ class WindowedEstimator:
         if mode == "cached":
             return max(self._cached_sum, 0.0)
         if mode == "exact":
-            if not self._window:
+            if self._size == 0:
                 return 0.0
-            A = np.stack([e.action for e in self._window])
-            q = np.einsum("ki,ij,kj->k", A, self.V_inv, A)
+            q = self.sq_norms(self._actions[:self._size])
             return float(np.sqrt(np.maximum(q, 0.0)).sum())
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -157,14 +163,28 @@ class WindowedEstimator:
             raise ValueError(f"vector shape {a.shape} does not match d={self.d}")
         return math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
 
+    def sq_norms(self, A: np.ndarray) -> np.ndarray:
+        """Squared inverse-design norms of the rows of ``A``, one BLAS matmul."""
+        return np.einsum("ki,ki->k", A @ self.V_inv, A)
+
     def window_rounds(self) -> list[int]:
-        return [e.round_index for e in self._window]
+        """Rounds in the window, oldest first."""
+        return list(range(self.t - self._size, self.t))
 
     def window_cached_norms(self) -> list[float]:
-        return [e.cached_norm for e in self._window]
+        """Cached norms of the window rounds, oldest first."""
+        slots = [(r - 1) % self.m for r in self.window_rounds()]
+        return self._norms[slots].tolist()
 
     def _inverse_error(self) -> float:
         return float(np.abs(self.V @ self.V_inv - self._eye).max())
+
+    def _grow(self) -> None:
+        # until the window first fills, rows 0..n-1 hold rounds 1..n
+        extra = min(len(self._norms), self.m - len(self._norms))
+        self._actions = np.vstack([self._actions, np.empty((extra, self.d))])
+        self._norms = np.concatenate([self._norms, np.empty(extra)])
+        self._converted = np.concatenate([self._converted, np.zeros(extra, dtype=bool)])
 
     def _reinvert(self) -> None:
         self.V_inv = np.linalg.inv(self.V)

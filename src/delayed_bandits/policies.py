@@ -3,7 +3,11 @@
 ``select`` picks an action index from the round's action set and is pure
 given the internal state and the supplied generator; ``observe`` is the
 only mutator and consumes the round's revealed conversions together with
-the action just played. Ties always break toward the lowest index.
+the action just played. Ties break toward the lowest index among equal
+*computed* scores. Scores go through BLAS, so actions whose exact scores
+tie (every unit action in round 1) can compute an ulp apart, and the
+larger computed score wins. Bitwise-duplicate rows can also score an ulp
+apart; they are the same action, so that does not change the trajectory.
 """
 
 from __future__ import annotations
@@ -78,8 +82,7 @@ def ucb_scores(est: WindowedEstimator, delta: float, mode: str,
     A = action_set.actions
     theta = est.estimate()
     width = width_scale * est.confidence_width(delta, mode)
-    q = np.einsum("ki,ij,kj->k", A, est.V_inv, A)
-    return A @ theta + width * np.sqrt(np.maximum(q, 0.0))
+    return A @ theta + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))
 
 
 def covariance_inflation(est: WindowedEstimator, delta: float,
@@ -183,8 +186,7 @@ class OracleLinUCB(Policy):
         A = action_set.actions
         theta = self.est.estimate()
         width = self.config.width_scale * self.est.exploration_radius(self.config.delta)
-        q = np.einsum("ki,ij,kj->k", A, self.est.V_inv, A)
-        scores = A @ theta + width * np.sqrt(np.maximum(q, 0.0))
+        scores = A @ theta + width * np.sqrt(np.maximum(self.est.sq_norms(A), 0.0))
         return int(np.argmax(scores))
 
     def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:

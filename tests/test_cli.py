@@ -5,6 +5,7 @@ import pytest
 
 from delayed_bandits.cli import main
 from delayed_bandits.io import read_traces_csv
+from delayed_bandits.policies import OTFLinTS
 
 
 @pytest.fixture
@@ -74,6 +75,16 @@ class TestRun:
         blocker.write_text("x")
         code = main(["run", "--config", str(tiny_config),
                      "--out", str(blocker / "sub")])
+        assert code == 2
+
+    def test_numerical_error_exits_2(self, tiny_config, tmp_path, monkeypatch):
+        # LinAlgError subclasses ValueError but is a runtime failure
+        def fail(self, rng, size=None):
+            raise np.linalg.LinAlgError("covariance factorization failed")
+
+        monkeypatch.setattr(OTFLinTS, "sample_parameter", fail)
+        code = main(["run", "--config", str(tiny_config), "--policy", "otf_lints",
+                     "--out", str(tmp_path / "r")])
         assert code == 2
 
 

@@ -61,6 +61,21 @@ class TestGenerateActionSet:
         b = generate_action_set(np.random.default_rng(9), 4, 6)
         assert np.array_equal(a.actions, b.actions)
 
+    def test_row_norms_equal_linalg_norm_bytes(self):
+        # reference: the same draws normalized by np.linalg.norm
+        for d in (1, 5, 50):
+            for K in (1, 10, 100):
+                for seed in range(40):
+                    got = generate_action_set(np.random.default_rng(seed), d, K).actions
+                    rng = np.random.default_rng(seed)
+                    mat = rng.integers(0, 2, size=(K, d)).astype(float)
+                    zero_rows = ~mat.any(axis=1)
+                    while zero_rows.any():
+                        mat[zero_rows] = rng.integers(0, 2, size=(int(zero_rows.sum()), d))
+                        zero_rows = ~mat.any(axis=1)
+                    want = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+                    assert np.array_equal(got, want), (d, K, seed)
+
     def test_rejects_bad_sizes(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
