@@ -2,8 +2,9 @@
 
 Building blocks: delay distributions (:mod:`~delayed_bandits.delays`), the
 interaction environment (:mod:`~delayed_bandits.environment`), the windowed
-delayed least-squares estimator (:mod:`~delayed_bandits.estimator`), the
-OTFLinUCB / OTFLinTS policies and baselines (:mod:`~delayed_bandits.policies`),
+delayed least-squares estimator (:mod:`~delayed_bandits.estimator`), one
+linear policy class running OTFLinUCB, OTFLinTS and the undelayed LinUCB
+oracle, plus a uniform-random baseline (:mod:`~delayed_bandits.policies`),
 bound evaluators (:mod:`~delayed_bandits.bounds`), and the experiment harness
 plus CLI (:mod:`~delayed_bandits.harness`, :mod:`~delayed_bandits.cli`).
 """
@@ -47,9 +48,7 @@ from .harness import (
 )
 from .io import emit_csv, read_config_file, read_traces_csv
 from .policies import (
-    OracleLinUCB,
-    OTFLinTS,
-    OTFLinUCB,
+    LinearPolicy,
     Policy,
     PolicyConfig,
     RandomPolicy,
@@ -69,10 +68,8 @@ __all__ = [
     "ExperimentConfig",
     "FixedDelay",
     "GeometricDelay",
+    "LinearPolicy",
     "LognormalDelay",
-    "OTFLinTS",
-    "OTFLinUCB",
-    "OracleLinUCB",
     "PRESETS",
     "Policy",
     "PolicyConfig",

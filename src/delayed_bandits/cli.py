@@ -20,8 +20,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import harness, io
 
-_RUN_COUNT_NOTE = "default n_runs is 100; 50 is a common lighter convention"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,17 +89,16 @@ def _cmd_run(args) -> int:
     traces, stats = harness.run_batch(config)
     out_dir = Path(config.output_path)
     io.emit_csv(traces, stats, out_dir)
-    tau = config.tau_m()
+    tau = config.tau_m
     if tau > 0.0:
         bound = bounds_mod.regret_upper_bound(config.T, config.d, config.lam,
                                               config.delta,
-                                              config.resolved_window(), tau)
+                                              config.resolved_window, tau)
     else:
         bound = float("inf")  # nothing converts inside the window
     items = config.resolved_items()
     items += [("tau_m", f"{tau:.17g}"),
-              ("regret_upper_bound", f"{bound:.17g}"),
-              ("note", _RUN_COUNT_NOTE)]
+              ("regret_upper_bound", f"{bound:.17g}")]
     io.write_metadata(items, out_dir / "metadata.txt")
     final_mean = stats.mean[-1]
     print(f"wrote {out_dir}/traces.csv, summary.csv, metadata.txt")
@@ -140,7 +137,7 @@ def _cmd_coverage(args) -> int:
     config = _config_from_args(args)
     coverage = harness.concentration_coverage(config, args.reps)
     print(f"reps = {args.reps}")
-    print(f"tau_m = {config.tau_m():.17g}")
+    print(f"tau_m = {config.tau_m:.17g}")
     print(f"coverage = {coverage:.17g}")
     return 0
 

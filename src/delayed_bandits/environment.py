@@ -19,7 +19,6 @@ from .delays import DelayDistribution
 __all__ = [
     "ActionSet",
     "ConversionEvent",
-    "PendingReward",
     "DelayedBanditEnv",
     "generate_action_set",
     "make_hard_instance_pair",
@@ -45,15 +44,8 @@ class ActionSet:
             raise ValueError(f"action norm exceeds 1: max {norms.max():.12f}")
         object.__setattr__(self, "actions", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.actions.shape[1]
-
     def __len__(self) -> int:
         return self.actions.shape[0]
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.actions[i]
 
     @classmethod
     def _from_validated(cls, actions: np.ndarray) -> "ActionSet":
@@ -68,16 +60,6 @@ class ConversionEvent:
     """A revealed positive reward, attributed to the round that caused it."""
 
     round_index: int
-    value: int = 1
-
-
-@dataclass(frozen=True)
-class PendingReward:
-    """A sampled but not yet revealed outcome of a past round."""
-
-    round_index: int
-    reward: int
-    delay: int
 
 
 def generate_action_set(rng: np.random.Generator, d: int, K: int) -> ActionSet:
@@ -133,8 +115,8 @@ class DelayedBanditEnv:
         self.rng = rng
         self.t = 1
         self.last_reward = 0
-        # reveal round -> pending positives scheduled for that round
-        self._pending: dict[int, list[PendingReward]] = {}
+        # reveal round -> rounds whose positive outcome is revealed then
+        self._pending: dict[int, list[int]] = {}
 
     def step(self, chosen: int, action_set: ActionSet) -> list[ConversionEvent]:
         """Play one round; return the conversions revealed at its end.
@@ -155,17 +137,11 @@ class DelayedBanditEnv:
         d = self.delay_dist.sample(self.rng)
         self.last_reward = x
         if x == 1:
-            self._pending.setdefault(t + d, []).append(PendingReward(t, x, d))
+            self._pending.setdefault(t + d, []).append(t)
         self.t = t + 1
-        due = self._pending.pop(t, [])
-        due.sort(key=lambda pr: pr.round_index)
-        return [ConversionEvent(pr.round_index) for pr in due]
+        return [ConversionEvent(s) for s in sorted(self._pending.pop(t, []))]
 
     def instantaneous_regret(self, chosen: np.ndarray, action_set: ActionSet) -> float:
         """Gap between the best available expected reward and the chosen one."""
         values = action_set.actions @ self.theta
         return float(values.max() - chosen @ self.theta)
-
-    @property
-    def pending_count(self) -> int:
-        return sum(len(v) for v in self._pending.values())

@@ -15,14 +15,14 @@ import math
 
 import numpy as np
 
+from .bounds import exploration_radius_at
+
 __all__ = ["WindowedEstimator"]
 
 # Re-invert from scratch whenever the rank-one updated inverse drifts past
 # this, and unconditionally every _REINVERT_PERIOD updates.
 _FIDELITY_TOL = 1e-8
 _REINVERT_PERIOD = 1000
-# rows allocated for a fresh window before it starts doubling
-_INITIAL_WINDOW_ROWS = 8
 
 
 class WindowedEstimator:
@@ -35,8 +35,8 @@ class WindowedEstimator:
 
     The window is a ring of the last ``min(m, t - 1)`` rounds: round ``r``
     lives in row ``(r - 1) % m`` of the action, cached-norm and converted
-    arrays. The arrays double until they hold ``m`` rows, so a window as
-    long as the horizon allocates only about as many rows as rounds played.
+    arrays. Those are allocated once with ``m`` rows and indexed by that
+    row count; ``m`` is not meant to change afterwards.
     """
 
     def __init__(self, d: int, lam: float, m: int):
@@ -53,10 +53,10 @@ class WindowedEstimator:
         self.V = lam * np.eye(d)
         self.V_inv = (1.0 / lam) * np.eye(d)
         self.B = np.zeros(d)
-        rows = min(self.m, _INITIAL_WINDOW_ROWS)
-        self._actions = np.empty((rows, d))
-        self._norms = np.empty(rows)
-        self._converted = np.zeros(rows, dtype=bool)
+        self._actions = np.empty((self.m, d))
+        self._norms = np.empty(self.m)
+        self._converted = np.zeros(self.m, dtype=bool)
+        self._rows = self.m
         self._size = 0  # rounds in the window
         self._updates = 0
         self._eye = np.eye(d)
@@ -89,15 +89,13 @@ class WindowedEstimator:
         if self._updates % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
             self._reinvert()
         cached = math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
-        if self.m > 0:
-            slot = (self.t - 1) % self.m
+        if self._rows:
+            slot = (self.t - 1) % self._rows
             evicted = None
             if self._size == self.m:
                 evicted = float(self._norms[slot])  # round t - m
             else:
                 self._size += 1
-                if self._size > len(self._norms):
-                    self._grow()
             self._actions[slot] = a
             self._norms[slot] = cached
             self._converted[slot] = False
@@ -117,7 +115,7 @@ class WindowedEstimator:
         dropped; repeat conversions for the same round are no-ops.
         """
         if self.t - self._size <= round_index < self.t:
-            slot = (round_index - 1) % self.m
+            slot = (round_index - 1) % self._rows
             if not self._converted[slot]:
                 self.B += self._actions[slot]
                 self._converted[slot] = True
@@ -128,13 +126,7 @@ class WindowedEstimator:
 
     def exploration_radius(self, delta: float) -> float:
         """Self-normalized deviation width at the current action count."""
-        if not (0.0 < delta <= 1.0):
-            raise ValueError(f"delta must lie in (0, 1], got {delta}")
-        n = self.num_actions
-        dl = self.d * self.lam
-        return math.sqrt(self.lam) + math.sqrt(
-            2.0 * math.log(1.0 / delta) + self.d * math.log((dl + n) / dl)
-        )
+        return exploration_radius_at(self.num_actions, self.d, self.lam, delta)
 
     def window_norm_sum(self, mode: str = "cached") -> float:
         """Sum of window action norms: cached (per-round metric) or exact.
@@ -173,18 +165,11 @@ class WindowedEstimator:
 
     def window_cached_norms(self) -> list[float]:
         """Cached norms of the window rounds, oldest first."""
-        slots = [(r - 1) % self.m for r in self.window_rounds()]
+        slots = [(r - 1) % self._rows for r in self.window_rounds()]
         return self._norms[slots].tolist()
 
     def _inverse_error(self) -> float:
         return float(np.abs(self.V @ self.V_inv - self._eye).max())
-
-    def _grow(self) -> None:
-        # until the window first fills, rows 0..n-1 hold rounds 1..n
-        extra = min(len(self._norms), self.m - len(self._norms))
-        self._actions = np.vstack([self._actions, np.empty((extra, self.d))])
-        self._norms = np.concatenate([self._norms, np.empty(extra)])
-        self._converted = np.concatenate([self._converted, np.zeros(extra, dtype=bool)])
 
     def _reinvert(self) -> None:
         self.V_inv = np.linalg.inv(self.V)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -61,7 +62,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully describes one experiment; every field has a usable default."""
+    """Fully describes one experiment; every field has a usable default.
+
+    The derived values (``resolved_delay``, theta, window, ``tau_m``,
+    policy config) are cached properties: each is resolved once per
+    instance, kept in the instance ``__dict__`` (so it travels with the
+    pickled config to worker processes) and dropped by
+    ``dataclasses.replace``, which builds a new instance. ``build_delay()``
+    constructs a new distribution on every call.
+    """
 
     d: int = 5
     K: int = 10
@@ -108,16 +117,17 @@ class ExperimentConfig:
             raise ConfigError("k_armed_hard theta requires fixed_basis mode")
         if self.m is not None and self.m < 0:
             raise ConfigError("window m must be >= 0")
-        try:
-            self.build_delay()
-            self.resolve_theta()
-            self.policy_config()
+        try:  # resolve (and cache) the derived values
+            self.resolved_delay
+            self.resolve_theta
+            self.policy_config
         except ConfigError:
             raise
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def build_delay(self) -> DelayDistribution:
+        """Construct the delay distribution; reads the file for ``empirical``."""
         if self.delay == "geometric":
             return GeometricDelay(self.delay_mean)
         if self.delay == "fixed":
@@ -128,37 +138,47 @@ class ExperimentConfig:
             return load_empirical(self.delay_path, self.delay_scale)
         return LognormalDelay(self.delay_log_mean, self.delay_log_std)
 
+    @cached_property
+    def resolved_delay(self) -> DelayDistribution:
+        return self.build_delay()
+
+    @cached_property
     def resolve_theta(self) -> np.ndarray:
+        """The true parameter, read-only: every episode shares the array."""
         if self.theta == "uniform_unit":
-            return np.full(self.d, 1.0 / math.sqrt(self.d))
-        if self.theta == "explicit":
+            theta = np.full(self.d, 1.0 / math.sqrt(self.d))
+        elif self.theta == "explicit":
             if self.theta_values is None:
                 raise ConfigError("explicit theta requires theta_values")
-            vec = np.asarray(self.theta_values, dtype=float)
-            if vec.shape != (self.d,):
+            theta = np.array(self.theta_values, dtype=float)
+            if theta.shape != (self.d,):
                 raise ConfigError(
-                    f"theta_values has length {vec.size}, expected d={self.d}"
+                    f"theta_values has length {theta.size}, expected d={self.d}"
                 )
-            if np.linalg.norm(vec) > 1.0 + 1e-9:
+            if np.linalg.norm(theta) > 1.0 + 1e-9:
                 raise ConfigError("explicit theta must have L2 norm <= 1")
-            return vec
-        # the hard-instance parameter intentionally escapes the unit ball
-        # for larger K; only per-action means must stay in [0, 1]
-        theta, _ = make_hard_instance_pair(self.K, self.hard_gap, self.hard_arm)
+        else:
+            # the hard-instance parameter intentionally escapes the unit ball
+            # for larger K; only per-action means must stay in [0, 1]
+            theta, _ = make_hard_instance_pair(self.K, self.hard_gap, self.hard_arm)
+        theta.flags.writeable = False
         return theta
 
+    @cached_property
     def resolved_window(self) -> int:
         if self.m is not None:
             return self.m
-        return recommended_window(self.build_delay())
+        return recommended_window(self.resolved_delay)
 
+    @cached_property
     def tau_m(self) -> float:
-        return self.build_delay().cdf(self.resolved_window())
+        return self.resolved_delay.cdf(self.resolved_window)
 
+    @cached_property
     def policy_config(self) -> PolicyConfig:
         try:
             return PolicyConfig(kind=self.policy, delta=self.delta, lam=self.lam,
-                                m=self.resolved_window(), width_mode=self.width_mode,
+                                m=self.resolved_window, width_mode=self.width_mode,
                                 width_scale=self.width_scale)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -185,7 +205,7 @@ class ExperimentConfig:
                       ("delay_log_std", self.delay_log_std)]
         items += [
             ("policy", self.policy), ("delta", self.delta), ("lambda", self.lam),
-            ("m", self.resolved_window()), ("width_mode", self.width_mode),
+            ("m", self.resolved_window), ("width_mode", self.width_mode),
             ("width_scale", self.width_scale),
             ("n_runs", self.n_runs), ("base_seed", self.base_seed),
             ("n_jobs", self.n_jobs), ("out", self.output_path),
@@ -286,9 +306,8 @@ def _episode_streams(base_seed: int, run_index: int):
 def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     """Play one full episode; deterministic given (config, run_index)."""
     env_rng, policy_rng = _episode_streams(config.base_seed, run_index)
-    theta = config.resolve_theta()
-    env = DelayedBanditEnv(theta, config.build_delay(), env_rng)
-    policy = make_policy(config.policy_config(), config.d, horizon=config.T)
+    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
+    policy = make_policy(config.policy_config, config.d)
     fixed_set = ActionSet(np.eye(config.d)) if config.action_mode == "fixed_basis" else None
 
     # The elliptical-potential diagnostic needs the pre-update norm of each
@@ -366,11 +385,10 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     config.validate()
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
-    theta = config.resolve_theta()
-    delay = config.build_delay()
-    m = config.resolved_window()
-    tau = delay.cdf(m)
-    target = tau * theta
+    theta = config.resolve_theta
+    delay = config.resolved_delay
+    m = config.resolved_window
+    target = config.tau_m * theta
 
     seq_rng = np.random.default_rng(np.random.SeedSequence(config.base_seed))
     actions = np.empty((config.T, config.d))

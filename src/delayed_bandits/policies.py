@@ -22,9 +22,7 @@ from .estimator import WindowedEstimator
 __all__ = [
     "PolicyConfig",
     "Policy",
-    "OTFLinUCB",
-    "OTFLinTS",
-    "OracleLinUCB",
+    "LinearPolicy",
     "RandomPolicy",
     "make_policy",
     "ucb_scores",
@@ -79,10 +77,13 @@ def ucb_scores(est: WindowedEstimator, delta: float, mode: str,
     ``width_scale`` rescales the selection width only; the unscaled
     confidence width is what the coverage guarantees are stated for.
     """
-    A = action_set.actions
-    theta = est.estimate()
-    width = width_scale * est.confidence_width(delta, mode)
-    return A @ theta + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))
+    return _optimistic_scores(est, action_set.actions,
+                              width_scale * est.confidence_width(delta, mode))
+
+
+def _optimistic_scores(est: WindowedEstimator, A: np.ndarray,
+                       width: float) -> np.ndarray:
+    return A @ est.estimate() + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))
 
 
 def covariance_inflation(est: WindowedEstimator, delta: float,
@@ -95,41 +96,35 @@ def covariance_inflation(est: WindowedEstimator, delta: float,
     return 1.0 + est.window_norm_sum(mode) / est.exploration_radius(delta)
 
 
-class OTFLinUCB(Policy):
-    """Optimistic policy for censored delayed conversions."""
+class LinearPolicy(Policy):
+    """The three ridge-estimator policies, told apart by ``config.kind``.
 
-    def __init__(self, d: int, config: PolicyConfig):
-        self.config = config
-        self.est = WindowedEstimator(d, config.lam, config.m)
-
-    def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
-        if len(action_set) == 0:
-            raise ValueError("empty action set")
-        scores = ucb_scores(self.est, self.config.delta, self.config.width_mode,
-                            action_set, self.config.width_scale)
-        return int(np.argmax(scores))
-
-    def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:
-        self.est.record_action(chosen)
-        for ev in events:
-            self.est.record_conversion(ev.round_index)
-
-
-class OTFLinTS(Policy):
-    """Randomized (perturbed-leader) policy for censored delayed conversions.
-
-    Samples a parameter from a Gaussian centered at the windowed estimate
-    with covariance equal to the inflated inverse design matrix, then acts
-    greedily on the sample. ``cov_scale`` rescales the covariance and
-    exists as a test hook; zero makes selection deterministic.
+    * ``otf_linucb``: optimistic selection with the full confidence width,
+      whose window penalty covers conversions still in flight from the
+      last ``m`` rounds.
+    * ``otf_lints``: randomized (perturbed-leader) selection. Samples a
+      parameter from a Gaussian centered at the windowed estimate with
+      covariance equal to the inflated inverse design matrix, then acts
+      greedily on the sample. ``cov_scale`` rescales the covariance and
+      exists as a test hook; zero makes selection deterministic.
+    * ``oracle_linucb``: baseline fed the true reward of every round with
+      no delay, selecting with the plain exploration radius (no window
+      penalty). Its immediate conversion always falls inside a one-round
+      window, so every reward is credited. Feeding immediate positive-only
+      events is equivalent to feeding the raw Bernoulli reward because
+      zero rewards contribute nothing.
     """
 
     def __init__(self, d: int, config: PolicyConfig, cov_scale: float = 1.0):
+        if config.kind == "random":
+            raise ValueError("kind 'random' is RandomPolicy, not a LinearPolicy")
         if cov_scale < 0:
             raise ValueError("cov_scale must be non-negative")
         self.config = config
         self.cov_scale = cov_scale
-        self.est = WindowedEstimator(d, config.lam, config.m)
+        self.needs_uncensored_feedback = config.kind == "oracle_linucb"
+        m = 1 if self.needs_uncensored_feedback else config.m
+        self.est = WindowedEstimator(d, config.lam, m)
 
     def sample_parameter(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Draw from N(estimate, cov_scale * inflation * V_inv) exactly.
@@ -156,37 +151,15 @@ class OTFLinTS(Policy):
     def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
         if len(action_set) == 0:
             raise ValueError("empty action set")
-        tilde = self.sample_parameter(rng)
-        return int(np.argmax(action_set.actions @ tilde))
-
-    def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:
-        self.est.record_action(chosen)
-        for ev in events:
-            self.est.record_conversion(ev.round_index)
-
-
-class OracleLinUCB(Policy):
-    """Baseline fed the true reward of every round with no delay.
-
-    Uses the plain exploration radius as its width (no window penalty);
-    the window is set to the horizon so no conversion is ever truncated.
-    Feeding immediate positive-only events is equivalent to feeding the
-    raw Bernoulli reward because zero rewards contribute nothing.
-    """
-
-    needs_uncensored_feedback = True
-
-    def __init__(self, d: int, config: PolicyConfig, horizon: int):
-        self.config = config
-        self.est = WindowedEstimator(d, config.lam, max(horizon, 1))
-
-    def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
-        if len(action_set) == 0:
-            raise ValueError("empty action set")
-        A = action_set.actions
-        theta = self.est.estimate()
-        width = self.config.width_scale * self.est.exploration_radius(self.config.delta)
-        scores = A @ theta + width * np.sqrt(np.maximum(self.est.sq_norms(A), 0.0))
+        cfg = self.config
+        if cfg.kind == "otf_linucb":
+            scores = ucb_scores(self.est, cfg.delta, cfg.width_mode,
+                                action_set, cfg.width_scale)
+        elif cfg.kind == "oracle_linucb":
+            width = cfg.width_scale * self.est.exploration_radius(cfg.delta)
+            scores = _optimistic_scores(self.est, action_set.actions, width)
+        else:
+            scores = action_set.actions @ self.sample_parameter(rng)
         return int(np.argmax(scores))
 
     def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:
@@ -207,13 +180,7 @@ class RandomPolicy(Policy):
         pass
 
 
-def make_policy(config: PolicyConfig, d: int, horizon: int) -> Policy:
-    if config.kind == "otf_linucb":
-        return OTFLinUCB(d, config)
-    if config.kind == "otf_lints":
-        return OTFLinTS(d, config)
-    if config.kind == "oracle_linucb":
-        return OracleLinUCB(d, config, horizon)
+def make_policy(config: PolicyConfig, d: int) -> Policy:
     if config.kind == "random":
         return RandomPolicy()
-    raise ValueError(f"unknown policy kind {config.kind!r}")
+    return LinearPolicy(d, config)

@@ -164,7 +164,7 @@ def test_criterion_6_upper_bound_dominates(batch_a_ucb, batch_b_ucb):
     for name, (traces, _) in (("A", batch_a_ucb), ("B", batch_b_ucb)):
         config = preset_config(name, "otf_linucb", 200)
         bound = regret_upper_bound(config.T, config.d, config.lam, config.delta,
-                                   config.resolved_window(), config.tau_m())
+                                   config.resolved_window, config.tau_m)
         finals = np.array([tr.cum_regret[-1] for tr in traces])
         frac = float(np.mean(finals <= bound))
         results.append((name, frac, bound))

@@ -5,7 +5,7 @@ import pytest
 
 from delayed_bandits.cli import main
 from delayed_bandits.io import read_traces_csv
-from delayed_bandits.policies import OTFLinTS
+from delayed_bandits.policies import LinearPolicy
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ class TestRun:
         def fail(self, rng, size=None):
             raise np.linalg.LinAlgError("covariance factorization failed")
 
-        monkeypatch.setattr(OTFLinTS, "sample_parameter", fail)
+        monkeypatch.setattr(LinearPolicy, "sample_parameter", fail)
         code = main(["run", "--config", str(tiny_config), "--policy", "otf_lints",
                      "--out", str(tmp_path / "r")])
         assert code == 2

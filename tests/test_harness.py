@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from delayed_bandits import harness
 from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.harness import (
     PRESETS,
@@ -50,7 +51,7 @@ class TestConfig:
     def test_auto_window_doubles_mean(self):
         config = build_config({"m": "auto", "delay": "geometric",
                                "delay_mean": "100"})
-        assert config.resolved_window() == 200
+        assert config.resolved_window == 200
 
     def test_fixed_basis_needs_square(self):
         with pytest.raises(ConfigError, match="K == d"):
@@ -90,9 +91,9 @@ class TestConfig:
         assert (b.delay_mean, b.m) == (100.0, 500)
         assert (c.delay_mean, c.m) == (500.0, 100)
         assert (d.T, d.m, d.delay) == (10_000, 2000, "lognormal")
-        assert a.tau_m() == pytest.approx(0.63, abs=0.01)
-        assert b.tau_m() == pytest.approx(0.993, abs=0.001)
-        assert 1 / c.tau_m() == pytest.approx(5.5, abs=0.1)
+        assert a.tau_m == pytest.approx(0.63, abs=0.01)
+        assert b.tau_m == pytest.approx(0.993, abs=0.001)
+        assert 1 / c.tau_m == pytest.approx(5.5, abs=0.1)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -103,6 +104,51 @@ class TestConfig:
         for expected in ("d", "K", "T", "policy", "delta", "lambda", "m",
                          "width_mode", "width_scale", "n_runs", "base_seed"):
             assert expected in keys
+
+
+class TestResolveOnce:
+    def test_empirical_delay_file_is_parsed_once_per_config(self, tmp_path,
+                                                            monkeypatch):
+        path = tmp_path / "delays.txt"
+        path.write_text("1\n3\n8\n")
+        values = {"delay": "empirical", "delay_path": str(path), "m": "auto",
+                  "d": "3", "K": "4", "T": "30", "n_runs": "3", "base_seed": "5"}
+        serial = build_config(values)
+        parallel = build_config({**values, "n_jobs": "2"})
+
+        def parse_again(*args, **kwargs):
+            raise AssertionError("delay file parsed after build_config")
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(harness, "load_empirical", parse_again)
+        serial_traces, _ = run_batch(serial)
+        parallel_traces, _ = run_batch(parallel)
+        for a, b in zip(serial_traces, parallel_traces):
+            assert np.array_equal(a.cum_regret, b.cum_regret)
+        assert 0.0 <= concentration_coverage(serial, 2) <= 1.0
+        assert ("m", 8) in serial.resolved_items()
+
+    def test_build_delay_runs_once_per_config(self, monkeypatch):
+        calls = []
+        build = ExperimentConfig.build_delay
+        monkeypatch.setattr(ExperimentConfig, "build_delay",
+                            lambda self: calls.append(self) or build(self))
+        config = replace(TINY, m=None)
+        config.validate()
+        assert config.tau_m == config.resolved_delay.cdf(config.resolved_window)
+        run_batch(config)
+        assert len(calls) == 1
+
+    def test_theta_is_shared_and_read_only(self):
+        theta = TINY.resolve_theta
+        assert theta is TINY.resolve_theta
+        with pytest.raises(ValueError):
+            theta[0] = 0.0
+
+    def test_replace_resolves_again(self):
+        assert TINY.resolved_window == 10
+        assert replace(TINY, m=None).resolved_window == 10
+        assert replace(TINY, m=3).resolved_window == 3
 
 
 class TestRunEpisode:
@@ -138,8 +184,8 @@ class TestRunEpisode:
 
         config = TINY
         env_rng, policy_rng = _episode_streams(config.base_seed, 2)
-        env = DelayedBanditEnv(config.resolve_theta(), config.build_delay(), env_rng)
-        policy = make_policy(config.policy_config(), config.d, config.T)
+        env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
+        policy = make_policy(config.policy_config, config.d)
         total = 0.0
         for t in range(1, config.T + 1):
             aset = generate_action_set(env_rng, config.d, config.K)
@@ -289,7 +335,7 @@ class TestConfigFile:
                         "delay = geometric\ndelay_mean = 8\npolicy = otf_lints\n")
         config = build_config(read_config_file(path))
         assert (config.d, config.K, config.T) == (4, 6, 25)
-        assert config.resolved_window() == 16
+        assert config.resolved_window == 16
         assert config.policy == "otf_lints"
 
     def test_missing_file(self, tmp_path):
@@ -325,5 +371,5 @@ def test_upper_bound_far_above_preset_regret():
     # loose sanity link between the simulated scale and the analytic bound
     config = replace(apply_preset(ExperimentConfig(), "A"), T=300, n_runs=2)
     _, stats = run_batch(config)
-    bound = regret_upper_bound(300, 5, 1.0, 0.05, 100, config.tau_m())
+    bound = regret_upper_bound(300, 5, 1.0, 0.05, 100, config.tau_m)
     assert stats.mean[-1] < bound

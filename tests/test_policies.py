@@ -7,9 +7,7 @@ from scipy import stats
 from delayed_bandits.environment import ActionSet, ConversionEvent, DelayedBanditEnv
 from delayed_bandits.delays import FixedDelay, GeometricDelay
 from delayed_bandits.policies import (
-    OTFLinTS,
-    OTFLinUCB,
-    OracleLinUCB,
+    LinearPolicy,
     PolicyConfig,
     RandomPolicy,
     covariance_inflation,
@@ -48,19 +46,19 @@ class TestPolicyConfig:
 
 class TestOTFLinUCB:
     def test_fresh_state_breaks_ties_low(self):
-        policy = OTFLinUCB(3, contract_config())
+        policy = LinearPolicy(3, contract_config())
         aset = ActionSet(np.eye(3))
         assert policy.select(aset, np.random.default_rng(0)) == 0
 
     def test_single_action(self):
-        policy = OTFLinUCB(2, contract_config())
+        policy = LinearPolicy(2, contract_config())
         aset = ActionSet(np.array([[0.0, 1.0]]))
         assert policy.select(aset, np.random.default_rng(0)) == 0
 
     def test_exploitation_dominates_after_many_rounds(self):
         # alternate both directions with conversions only along e1, so the
         # estimate points at e1 and both bonuses shrink equally
-        policy = OTFLinUCB(2, contract_config(m=10))
+        policy = LinearPolicy(2, contract_config(m=10))
         rng = np.random.default_rng(0)
         for t in range(1, 20001):
             a = E1 if t % 2 else E2
@@ -73,7 +71,7 @@ class TestOTFLinUCB:
 
     def test_selected_score_is_maximal(self):
         rng = np.random.default_rng(1)
-        policy = OTFLinUCB(3, contract_config(m=5))
+        policy = LinearPolicy(3, contract_config(m=5))
         for t in range(1, 60):
             raw = rng.standard_normal((4, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -93,7 +91,7 @@ class TestOTFLinUCB:
                 assert int(np.argmax(scores)) == int(np.argmax(c * scores))
 
     def test_empty_action_set_rejected(self):
-        policy = OTFLinUCB(2, contract_config())
+        policy = LinearPolicy(2, contract_config())
         empty = ActionSet._from_validated(np.empty((0, 2)))
         with pytest.raises(ValueError, match="empty"):
             policy.select(empty, np.random.default_rng(0))
@@ -101,12 +99,12 @@ class TestOTFLinUCB:
 
 class TestCovarianceInflation:
     def test_empty_window_gives_one(self):
-        policy = OTFLinTS(3, contract_config(kind="otf_lints"))
+        policy = LinearPolicy(3, contract_config(kind="otf_lints"))
         assert covariance_inflation(policy.est, 0.05) == pytest.approx(1.0)
 
     def test_at_least_one_and_matches_components(self):
         rng = np.random.default_rng(3)
-        policy = OTFLinTS(3, contract_config(kind="otf_lints", m=8))
+        policy = LinearPolicy(3, contract_config(kind="otf_lints", m=8))
         for t in range(1, 40):
             raw = rng.standard_normal(3)
             a = raw / np.linalg.norm(raw)
@@ -121,8 +119,8 @@ class TestCovarianceInflation:
 class TestOTFLinTS:
     @staticmethod
     def _trained_policy(cov_scale=1.0):
-        policy = OTFLinTS(3, contract_config(kind="otf_lints", m=6),
-                          cov_scale=cov_scale)
+        policy = LinearPolicy(3, contract_config(kind="otf_lints", m=6),
+                              cov_scale=cov_scale)
         rng = np.random.default_rng(4)
         for t in range(1, 120):
             raw = rng.standard_normal(3)
@@ -170,15 +168,16 @@ class TestOTFLinTS:
 
 class TestOracleLinUCB:
     def test_fresh_tie_break(self):
-        policy = OracleLinUCB(2, contract_config(kind="oracle_linucb"), horizon=100)
+        policy = LinearPolicy(2, contract_config(kind="oracle_linucb"))
         assert policy.select(ActionSet(np.eye(2)), np.random.default_rng(0)) == 0
 
     def test_estimator_matches_windowed_under_zero_delay(self):
-        # with no delay and a horizon-sized window both see identical data
+        # with no delay every conversion is credited by both, so they see
+        # identical data
         cfg_otf = contract_config(m=300)
         cfg_oracle = contract_config(kind="oracle_linucb")
-        otf = OTFLinUCB(3, cfg_otf)
-        oracle = OracleLinUCB(3, cfg_oracle, horizon=300)
+        otf = LinearPolicy(3, cfg_otf)
+        oracle = LinearPolicy(3, cfg_oracle)
         theta = np.array([0.5, 0.3, 0.1])
         env = DelayedBanditEnv(theta, FixedDelay(0), np.random.default_rng(9))
         rng = np.random.default_rng(10)
@@ -237,7 +236,7 @@ class TestDeterminism:
     def test_identical_streams_give_identical_actions(self, kind):
         def play(seed):
             config = PolicyConfig(kind=kind, delta=0.05, lam=1.0, m=15)
-            policy = make_policy(config, 3, horizon=120)
+            policy = make_policy(config, 3)
             env_rng = np.random.default_rng(seed)
             policy_rng = np.random.default_rng(seed + 1)
             env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)),
@@ -261,5 +260,5 @@ class TestDeterminism:
 def test_make_policy_kinds():
     for kind in ("otf_linucb", "otf_lints", "oracle_linucb", "random"):
         config = PolicyConfig(kind=kind, m=5)
-        policy = make_policy(config, 3, horizon=50)
+        policy = make_policy(config, 3)
         assert policy.select(ActionSet(np.eye(3)), np.random.default_rng(0)) in range(3)
