@@ -50,7 +50,6 @@ from .io import emit_csv, read_config_file, read_traces_csv
 from .policies import (
     LinearPolicy,
     Policy,
-    PolicyConfig,
     RandomPolicy,
     covariance_inflation,
     make_policy,
@@ -72,7 +71,6 @@ __all__ = [
     "LognormalDelay",
     "PRESETS",
     "Policy",
-    "PolicyConfig",
     "RandomPolicy",
     "RegretTrace",
     "SummaryStats",

@@ -32,6 +32,9 @@ class WindowedEstimator:
     matrix over all recorded actions, ``V_inv`` its incrementally
     maintained inverse, ``B`` the sum of actions whose conversion arrived
     in time. ``t`` counts rounds, starting at 1 with no actions recorded.
+    ``potential`` is the elliptical potential: the sum of each recorded
+    action's squared norm under the inverse design matrix just before its
+    update.
 
     The window is a ring of the last ``min(m, t - 1)`` rounds: round ``r``
     lives in row ``(r - 1) % m`` of the action, cached-norm and converted
@@ -53,6 +56,7 @@ class WindowedEstimator:
         self.V = lam * np.eye(d)
         self.V_inv = (1.0 / lam) * np.eye(d)
         self.B = np.zeros(d)
+        self.potential = 0.0
         self._actions = np.empty((self.m, d))
         self._norms = np.empty(self.m)
         self._converted = np.zeros(self.m, dtype=bool)
@@ -83,7 +87,9 @@ class WindowedEstimator:
         self.V += np.outer(a, a)
         # rank-one inverse update
         u = self.V_inv @ a
-        self.V_inv -= np.outer(u, u) / (1.0 + a @ u)
+        sq = float(a @ u)
+        self.potential += sq
+        self.V_inv -= np.outer(u, u) / (1.0 + sq)
         self.V_inv = 0.5 * (self.V_inv + self.V_inv.T)
         self._updates += 1
         if self._updates % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
@@ -147,13 +153,6 @@ class WindowedEstimator:
         """Full confidence-ellipsoid radius: twice the exploration radius
         plus the window penalty for in-flight conversions."""
         return 2.0 * self.exploration_radius(delta) + self.window_norm_sum(mode)
-
-    def mahalanobis_norm(self, a: np.ndarray) -> float:
-        """Norm of ``a`` in the current inverse-design metric."""
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.d,):
-            raise ValueError(f"vector shape {a.shape} does not match d={self.d}")
-        return math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
 
     def sq_norms(self, A: np.ndarray) -> np.ndarray:
         """Squared inverse-design norms of the rows of ``A``, one BLAS matmul."""

@@ -33,7 +33,7 @@ from .environment import (
     make_hard_instance_pair,
 )
 from .estimator import WindowedEstimator
-from .policies import PolicyConfig, make_policy
+from .policies import make_policy
 
 __all__ = [
     "ConfigError",
@@ -54,6 +54,8 @@ __all__ = [
 THETA_KINDS = ("uniform_unit", "explicit", "k_armed_hard")
 ACTION_MODES = ("resample_each_round", "fixed_basis")
 DELAY_KINDS = ("geometric", "fixed", "empirical", "lognormal")
+POLICY_KINDS = ("otf_linucb", "otf_lints", "oracle_linucb", "random")
+WIDTH_MODES = ("exact", "cached")
 
 
 class ConfigError(ValueError):
@@ -64,8 +66,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Fully describes one experiment; every field has a usable default.
 
-    The derived values (``resolved_delay``, theta, window, ``tau_m``,
-    policy config) are cached properties: each is resolved once per
+    The derived values (``resolved_delay``, theta, window, ``tau_m``)
+    are cached properties: each is resolved once per
     instance, kept in the instance ``__dict__`` (so it travels with the
     pickled config to worker processes) and dropped by
     ``dataclasses.replace``, which builds a new instance. ``build_delay()``
@@ -117,10 +119,19 @@ class ExperimentConfig:
             raise ConfigError("k_armed_hard theta requires fixed_basis mode")
         if self.m is not None and self.m < 0:
             raise ConfigError("window m must be >= 0")
+        if self.policy not in POLICY_KINDS:
+            raise ConfigError(f"unknown policy kind {self.policy!r}")
+        if not (0.0 < self.delta <= 1.0):
+            raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
+        if not self.lam > 0:
+            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if self.width_mode not in WIDTH_MODES:
+            raise ConfigError(f"unknown width mode {self.width_mode!r}")
+        if self.width_scale < 0:
+            raise ConfigError(f"width_scale must be >= 0, got {self.width_scale}")
         try:  # resolve (and cache) the derived values
             self.resolved_delay
             self.resolve_theta
-            self.policy_config
         except ConfigError:
             raise
         except (ValueError, OSError) as exc:
@@ -173,15 +184,6 @@ class ExperimentConfig:
     @cached_property
     def tau_m(self) -> float:
         return self.resolved_delay.cdf(self.resolved_window)
-
-    @cached_property
-    def policy_config(self) -> PolicyConfig:
-        try:
-            return PolicyConfig(kind=self.policy, delta=self.delta, lam=self.lam,
-                                m=self.resolved_window, width_mode=self.width_mode,
-                                width_scale=self.width_scale)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def resolved_items(self) -> list:
         """Every resolved setting as (key, value) pairs for the metadata file."""
@@ -307,31 +309,15 @@ def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     """Play one full episode; deterministic given (config, run_index)."""
     env_rng, policy_rng = _episode_streams(config.base_seed, run_index)
     env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
-    policy = make_policy(config.policy_config, config.d)
+    policy = make_policy(config)
     fixed_set = ActionSet(np.eye(config.d)) if config.action_mode == "fixed_basis" else None
-
-    # The elliptical-potential diagnostic needs the pre-update norm of each
-    # chosen action under a design matrix seeded with lam * I. Policies that
-    # maintain exactly that matrix provide it for free; otherwise track one.
-    policy_est = getattr(policy, "est", None)
-    if policy_est is not None and policy_est.lam == config.lam:
-        tracker = None
-    else:
-        tracker = WindowedEstimator(config.d, config.lam, m=0)
-
     trace = np.empty(config.T)
     cum = 0.0
-    potential = 0.0
     for t in range(1, config.T + 1):
         aset = fixed_set if fixed_set is not None else generate_action_set(
             env_rng, config.d, config.K)
         idx = policy.select(aset, policy_rng)
         chosen = aset.actions[idx]
-        if tracker is None:
-            potential += policy_est.mahalanobis_norm(chosen) ** 2
-        else:
-            potential += tracker.mahalanobis_norm(chosen) ** 2
-            tracker.record_action(chosen)
         events = env.step(idx, aset)
         if policy.needs_uncensored_feedback:
             events = [ConversionEvent(t)] if env.last_reward else []
@@ -339,7 +325,7 @@ def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
         cum += env.instantaneous_regret(chosen, aset)
         trace[t - 1] = cum
     return RegretTrace(run_id=run_index, cum_regret=trace,
-                       elliptical_potential=potential)
+                       elliptical_potential=policy.est.potential)
 
 
 def _episode_worker(args) -> RegretTrace:

@@ -3,24 +3,29 @@
 ``select`` picks an action index from the round's action set and is pure
 given the internal state and the supplied generator; ``observe`` is the
 only mutator and consumes the round's revealed conversions together with
-the action just played. Ties break toward the lowest index among equal
-*computed* scores. Scores go through BLAS, so actions whose exact scores
-tie (every unit action in round 1) can compute an ulp apart, and the
-larger computed score wins. Bitwise-duplicate rows can also score an ulp
+the action just played. Every policy is built from a validated
+``ExperimentConfig`` and records its plays in a ``WindowedEstimator``,
+``est``, whose ``potential`` is the episode's elliptical potential.
+
+Ties break toward the lowest index among equal *computed* scores. Scores
+go through BLAS, so actions whose exact scores tie (every unit action in
+round 1) can compute an ulp apart, and the larger computed score wins. Bitwise-duplicate rows can also score an ulp
 apart; they are the same action, so that does not change the trajectory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .environment import ActionSet, ConversionEvent
 from .estimator import WindowedEstimator
 
+if TYPE_CHECKING:  # the harness imports this module, not the reverse
+    from .harness import ExperimentConfig
+
 __all__ = [
-    "PolicyConfig",
     "Policy",
     "LinearPolicy",
     "RandomPolicy",
@@ -29,36 +34,11 @@ __all__ = [
     "covariance_inflation",
 ]
 
-POLICY_KINDS = ("otf_linucb", "otf_lints", "oracle_linucb", "random")
-WIDTH_MODES = ("exact", "cached")
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    kind: str = "otf_linucb"
-    delta: float = 0.05
-    lam: float = 1.0
-    m: int = 0
-    width_mode: str = "cached"
-    width_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.m < 0:
-            raise ValueError(f"window must be >= 0, got {self.m}")
-        if self.width_mode not in WIDTH_MODES:
-            raise ValueError(f"unknown width mode {self.width_mode!r}")
-        if self.width_scale < 0:
-            raise ValueError(f"width_scale must be >= 0, got {self.width_scale}")
-
 
 class Policy:
-    """Select/observe interface shared by all policies."""
+    """Select/observe interface shared by all policies; each has ``est``."""
+
+    est: WindowedEstimator
 
     #: whether the harness should feed immediate uncensored rewards
     needs_uncensored_feedback = False
@@ -97,7 +77,11 @@ def covariance_inflation(est: WindowedEstimator, delta: float,
 
 
 class LinearPolicy(Policy):
-    """The three ridge-estimator policies, told apart by ``config.kind``.
+    """The three ridge-estimator policies, told apart by ``config.policy``.
+
+    ``config`` is a validated ``ExperimentConfig``; the policy reads its
+    ``d``, ``policy``, ``delta``, ``lam``, ``resolved_window``,
+    ``width_mode`` and ``width_scale``.
 
     * ``otf_linucb``: optimistic selection with the full confidence width,
       whose window penalty covers conversions still in flight from the
@@ -115,16 +99,16 @@ class LinearPolicy(Policy):
       zero rewards contribute nothing.
     """
 
-    def __init__(self, d: int, config: PolicyConfig, cov_scale: float = 1.0):
-        if config.kind == "random":
+    def __init__(self, config: ExperimentConfig, cov_scale: float = 1.0):
+        if config.policy == "random":
             raise ValueError("kind 'random' is RandomPolicy, not a LinearPolicy")
         if cov_scale < 0:
             raise ValueError("cov_scale must be non-negative")
         self.config = config
         self.cov_scale = cov_scale
-        self.needs_uncensored_feedback = config.kind == "oracle_linucb"
-        m = 1 if self.needs_uncensored_feedback else config.m
-        self.est = WindowedEstimator(d, config.lam, m)
+        self.needs_uncensored_feedback = config.policy == "oracle_linucb"
+        m = 1 if self.needs_uncensored_feedback else config.resolved_window
+        self.est = WindowedEstimator(config.d, config.lam, m)
 
     def sample_parameter(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Draw from N(estimate, cov_scale * inflation * V_inv) exactly.
@@ -152,10 +136,10 @@ class LinearPolicy(Policy):
         if len(action_set) == 0:
             raise ValueError("empty action set")
         cfg = self.config
-        if cfg.kind == "otf_linucb":
+        if cfg.policy == "otf_linucb":
             scores = ucb_scores(self.est, cfg.delta, cfg.width_mode,
                                 action_set, cfg.width_scale)
-        elif cfg.kind == "oracle_linucb":
+        elif cfg.policy == "oracle_linucb":
             width = cfg.width_scale * self.est.exploration_radius(cfg.delta)
             scores = _optimistic_scores(self.est, action_set.actions, width)
         else:
@@ -169,7 +153,14 @@ class LinearPolicy(Policy):
 
 
 class RandomPolicy(Policy):
-    """Uniform action choice; ignores all feedback."""
+    """Uniform action choice; ignores all conversions.
+
+    Its played actions still go into an unwindowed estimator, ``est``,
+    which measures the episode's elliptical potential.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.est = WindowedEstimator(config.d, config.lam, 0)
 
     def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
         if len(action_set) == 0:
@@ -177,10 +168,10 @@ class RandomPolicy(Policy):
         return int(rng.integers(len(action_set)))
 
     def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:
-        pass
+        self.est.record_action(chosen)
 
 
-def make_policy(config: PolicyConfig, d: int) -> Policy:
-    if config.kind == "random":
-        return RandomPolicy()
-    return LinearPolicy(d, config)
+def make_policy(config: ExperimentConfig) -> Policy:
+    if config.policy == "random":
+        return RandomPolicy(config)
+    return LinearPolicy(config)

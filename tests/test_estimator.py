@@ -216,31 +216,33 @@ class TestConfidenceWidth:
 
 
 class TestMahalanobisNorm:
+    """Norms in the inverse-design metric, squared, from ``sq_norms``."""
+
     def test_fresh_state_is_l2(self):
         est = WindowedEstimator(d=3, lam=1.0, m=5)
         v = np.array([0.3, -0.2, 0.1])
-        assert est.mahalanobis_norm(v) == pytest.approx(np.linalg.norm(v))
+        assert math.sqrt(est.sq_norms(v[None, :])[0]) == pytest.approx(np.linalg.norm(v))
 
     def test_zero_vector(self):
         est = WindowedEstimator(d=3, lam=1.0, m=5)
-        assert est.mahalanobis_norm(np.zeros(3)) == 0.0
+        assert est.sq_norms(np.zeros((1, 3)))[0] == 0.0
 
     def test_non_increasing_as_data_accumulates(self):
         rng = np.random.default_rng(23)
         probe = np.array([0.5, 0.5, 0.1])
         probe /= np.linalg.norm(probe)
         est = WindowedEstimator(d=3, lam=1.0, m=5)
-        last = est.mahalanobis_norm(probe)
+        last = math.sqrt(est.sq_norms(probe[None, :])[0])
         for a in random_unit_ball_actions(rng, 400, 3):
             est.record_action(a)
-            current = est.mahalanobis_norm(probe)
+            current = math.sqrt(est.sq_norms(probe[None, :])[0])
             assert current <= last + 1e-12
             last = current
 
     def test_dimension_mismatch(self):
         est = WindowedEstimator(d=3, lam=1.0, m=5)
         with pytest.raises(ValueError):
-            est.mahalanobis_norm(np.ones(4))
+            est.sq_norms(np.ones((1, 4)))
 
 
 class TestNumericalInvariants:
@@ -270,9 +272,7 @@ class TestNumericalInvariants:
             d = int(rng.integers(2, 6))
             T = int(rng.integers(50, 800))
             est = WindowedEstimator(d=d, lam=1.0, m=0)
-            total = 0.0
             for a in random_unit_ball_actions(rng, T, d):
-                total += est.mahalanobis_norm(a) ** 2
                 est.record_action(a)
             bound = 2 * d * math.log((d + T) / d)
-            assert total <= bound + 1e-9
+            assert est.potential <= bound + 1e-9

@@ -67,6 +67,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="norm"):
             build_config({"theta": "explicit", "theta_values": "0.9,0.9", "d": "2"})
 
+    def test_policy_settings_rejected(self):
+        for key, value, field, typed, match in [
+            ("policy", "nope", "policy", "nope", "unknown policy kind"),
+            ("delta", "0.0", "delta", 0.0, "delta must lie"),
+            ("delta", "1.5", "delta", 1.5, "delta must lie"),
+            ("lambda", "0.0", "lam", 0.0, "lambda must be positive"),
+            ("m", "-1", "m", -1, "window m"),
+            ("width_mode", "fast", "width_mode", "fast", "unknown width mode"),
+            ("width_scale", "-0.1", "width_scale", -0.1, "width_scale must be >= 0"),
+        ]:
+            with pytest.raises(ConfigError, match=match):
+                build_config({key: value})
+            with pytest.raises(ConfigError, match=match):
+                replace(ExperimentConfig(), **{field: typed}).validate()
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="base_seed"):
             build_config({"base_seed": "-4"})
@@ -185,7 +200,7 @@ class TestRunEpisode:
         config = TINY
         env_rng, policy_rng = _episode_streams(config.base_seed, 2)
         env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
-        policy = make_policy(config.policy_config, config.d)
+        policy = make_policy(config)
         total = 0.0
         for t in range(1, config.T + 1):
             aset = generate_action_set(env_rng, config.d, config.K)

@@ -6,9 +6,9 @@ from scipy import stats
 
 from delayed_bandits.environment import ActionSet, ConversionEvent, DelayedBanditEnv
 from delayed_bandits.delays import FixedDelay, GeometricDelay
+from delayed_bandits.harness import ExperimentConfig
 from delayed_bandits.policies import (
     LinearPolicy,
-    PolicyConfig,
     RandomPolicy,
     covariance_inflation,
     make_policy,
@@ -19,46 +19,30 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
-def contract_config(**kw):
-    defaults = dict(kind="otf_linucb", delta=0.05, lam=1.0, m=10,
+def contract_config(d, **kw):
+    defaults = dict(d=d, policy="otf_linucb", delta=0.05, lam=1.0, m=10,
                     width_mode="cached", width_scale=1.0)
     defaults.update(kw)
-    return PolicyConfig(**defaults)
-
-
-class TestPolicyConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(kind="nope")
-        with pytest.raises(ValueError):
-            PolicyConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            PolicyConfig(delta=1.5)
-        with pytest.raises(ValueError):
-            PolicyConfig(lam=0.0)
-        with pytest.raises(ValueError):
-            PolicyConfig(m=-1)
-        with pytest.raises(ValueError):
-            PolicyConfig(width_mode="fast")
-        with pytest.raises(ValueError):
-            PolicyConfig(width_scale=-0.1)
+    config = ExperimentConfig(**defaults)
+    config.validate()
+    return config
 
 
 class TestOTFLinUCB:
     def test_fresh_state_breaks_ties_low(self):
-        policy = LinearPolicy(3, contract_config())
+        policy = LinearPolicy(contract_config(3))
         aset = ActionSet(np.eye(3))
         assert policy.select(aset, np.random.default_rng(0)) == 0
 
     def test_single_action(self):
-        policy = LinearPolicy(2, contract_config())
+        policy = LinearPolicy(contract_config(2))
         aset = ActionSet(np.array([[0.0, 1.0]]))
         assert policy.select(aset, np.random.default_rng(0)) == 0
 
     def test_exploitation_dominates_after_many_rounds(self):
         # alternate both directions with conversions only along e1, so the
         # estimate points at e1 and both bonuses shrink equally
-        policy = LinearPolicy(2, contract_config(m=10))
+        policy = LinearPolicy(contract_config(2, m=10))
         rng = np.random.default_rng(0)
         for t in range(1, 20001):
             a = E1 if t % 2 else E2
@@ -71,7 +55,7 @@ class TestOTFLinUCB:
 
     def test_selected_score_is_maximal(self):
         rng = np.random.default_rng(1)
-        policy = LinearPolicy(3, contract_config(m=5))
+        policy = LinearPolicy(contract_config(3, m=5))
         for t in range(1, 60):
             raw = rng.standard_normal((4, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -91,7 +75,7 @@ class TestOTFLinUCB:
                 assert int(np.argmax(scores)) == int(np.argmax(c * scores))
 
     def test_empty_action_set_rejected(self):
-        policy = LinearPolicy(2, contract_config())
+        policy = LinearPolicy(contract_config(2))
         empty = ActionSet._from_validated(np.empty((0, 2)))
         with pytest.raises(ValueError, match="empty"):
             policy.select(empty, np.random.default_rng(0))
@@ -99,12 +83,12 @@ class TestOTFLinUCB:
 
 class TestCovarianceInflation:
     def test_empty_window_gives_one(self):
-        policy = LinearPolicy(3, contract_config(kind="otf_lints"))
+        policy = LinearPolicy(contract_config(3, policy="otf_lints"))
         assert covariance_inflation(policy.est, 0.05) == pytest.approx(1.0)
 
     def test_at_least_one_and_matches_components(self):
         rng = np.random.default_rng(3)
-        policy = LinearPolicy(3, contract_config(kind="otf_lints", m=8))
+        policy = LinearPolicy(contract_config(3, policy="otf_lints", m=8))
         for t in range(1, 40):
             raw = rng.standard_normal(3)
             a = raw / np.linalg.norm(raw)
@@ -119,7 +103,7 @@ class TestCovarianceInflation:
 class TestOTFLinTS:
     @staticmethod
     def _trained_policy(cov_scale=1.0):
-        policy = LinearPolicy(3, contract_config(kind="otf_lints", m=6),
+        policy = LinearPolicy(contract_config(3, policy="otf_lints", m=6),
                               cov_scale=cov_scale)
         rng = np.random.default_rng(4)
         for t in range(1, 120):
@@ -168,16 +152,16 @@ class TestOTFLinTS:
 
 class TestOracleLinUCB:
     def test_fresh_tie_break(self):
-        policy = LinearPolicy(2, contract_config(kind="oracle_linucb"))
+        policy = LinearPolicy(contract_config(2, policy="oracle_linucb"))
         assert policy.select(ActionSet(np.eye(2)), np.random.default_rng(0)) == 0
 
     def test_estimator_matches_windowed_under_zero_delay(self):
         # with no delay every conversion is credited by both, so they see
         # identical data
-        cfg_otf = contract_config(m=300)
-        cfg_oracle = contract_config(kind="oracle_linucb")
-        otf = LinearPolicy(3, cfg_otf)
-        oracle = LinearPolicy(3, cfg_oracle)
+        cfg_otf = contract_config(3, m=300)
+        cfg_oracle = contract_config(3, policy="oracle_linucb")
+        otf = LinearPolicy(cfg_otf)
+        oracle = LinearPolicy(cfg_oracle)
         theta = np.array([0.5, 0.3, 0.1])
         env = DelayedBanditEnv(theta, FixedDelay(0), np.random.default_rng(9))
         rng = np.random.default_rng(10)
@@ -211,11 +195,11 @@ class TestOracleLinUCB:
 
 class TestRandomPolicy:
     def test_single_action(self):
-        policy = RandomPolicy()
+        policy = RandomPolicy(contract_config(1, policy="random"))
         assert policy.select(ActionSet(np.array([[1.0]])), np.random.default_rng(0)) == 0
 
     def test_uniformity_chi2(self):
-        policy = RandomPolicy()
+        policy = RandomPolicy(contract_config(10, policy="random"))
         aset = ActionSet(np.eye(10))
         rng = np.random.default_rng(11)
         draws = np.array([policy.select(aset, rng) for _ in range(100_000)])
@@ -223,7 +207,7 @@ class TestRandomPolicy:
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_deterministic_under_seed(self):
-        policy = RandomPolicy()
+        policy = RandomPolicy(contract_config(4, policy="random"))
         aset = ActionSet(np.eye(4))
         a = [policy.select(aset, np.random.default_rng(12)) for _ in range(1)]
         b = [policy.select(aset, np.random.default_rng(12)) for _ in range(1)]
@@ -235,8 +219,8 @@ class TestDeterminism:
                                       "oracle_linucb", "random"])
     def test_identical_streams_give_identical_actions(self, kind):
         def play(seed):
-            config = PolicyConfig(kind=kind, delta=0.05, lam=1.0, m=15)
-            policy = make_policy(config, 3)
+            config = contract_config(3, policy=kind, m=15)
+            policy = make_policy(config)
             env_rng = np.random.default_rng(seed)
             policy_rng = np.random.default_rng(seed + 1)
             env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)),
@@ -259,6 +243,6 @@ class TestDeterminism:
 
 def test_make_policy_kinds():
     for kind in ("otf_linucb", "otf_lints", "oracle_linucb", "random"):
-        config = PolicyConfig(kind=kind, m=5)
-        policy = make_policy(config, 3)
+        config = contract_config(3, policy=kind, m=5)
+        policy = make_policy(config)
         assert policy.select(ActionSet(np.eye(3)), np.random.default_rng(0)) in range(3)

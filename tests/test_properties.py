@@ -7,9 +7,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayed_bandits.environment import ActionSet, generate_action_set
+from delayed_bandits.environment import (
+    ActionSet, ConversionEvent, DelayedBanditEnv, generate_action_set)
 from delayed_bandits.estimator import WindowedEstimator
-from delayed_bandits.policies import LinearPolicy, PolicyConfig, ucb_scores
+from delayed_bandits.harness import ExperimentConfig, _episode_streams, run_episode
+from delayed_bandits.policies import LinearPolicy, make_policy, ucb_scores
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -132,8 +134,9 @@ def random_state(policy, rng, d, n_actions):
 def test_ucb_pick_attains_einsum_maximum(seed, n_actions, mode):
     d, K = 50, 100
     rng = np.random.default_rng(seed)
-    config = PolicyConfig(kind="otf_linucb", m=100, width_mode=mode, width_scale=0.2)
-    policy = LinearPolicy(d, config)
+    config = ExperimentConfig(d=d, K=K, policy="otf_linucb", m=100, width_mode=mode,
+                              width_scale=0.2)
+    policy = LinearPolicy(config)
     random_state(policy, rng, d, n_actions)
     aset = generate_action_set(rng, d, K)
     A, est = aset.actions, policy.est
@@ -150,8 +153,8 @@ def test_ucb_pick_attains_einsum_maximum(seed, n_actions, mode):
 def test_oracle_pick_attains_einsum_maximum(seed, n_actions):
     d, K = 50, 100
     rng = np.random.default_rng(seed)
-    config = PolicyConfig(kind="oracle_linucb", width_scale=0.2)
-    policy = LinearPolicy(d, config)
+    config = ExperimentConfig(d=d, K=K, policy="oracle_linucb", m=0, width_scale=0.2)
+    policy = LinearPolicy(config)
     random_state(policy, rng, d, n_actions)
     A = ActionSet(unit_ball_actions(rng, K, d)).actions
     est = policy.est
@@ -159,3 +162,49 @@ def test_oracle_pick_attains_einsum_maximum(seed, n_actions):
     scores = A @ est.estimate() + width * np.sqrt(einsum_sq_norms(A, est.V_inv))
     best = scores[policy.select(ActionSet(A), rng)]
     assert best >= scores.max() - 1e-12 * max(1.0, abs(scores.max()))
+
+
+def pre_update_potential(actions, lam):
+    """Sum of a @ inv(V) @ a over the stream, V inverted afresh before each update."""
+    V = lam * np.eye(actions.shape[1])
+    terms = []
+    for a in actions:
+        terms.append(float(a @ np.linalg.inv(V) @ a))
+        V += np.outer(a, a)
+    return math.fsum(terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, d=st.integers(1, 6), lam=st.floats(0.3, 3.0),
+       m=st.sampled_from([0, 1, 7]), T=st.sampled_from([0, 1, 37, 999, 1000, 1001, 2100]))
+def test_potential_sums_pre_update_norms(seed, d, lam, m, T):
+    # 1000 and more updates cross the periodic re-inversion
+    actions = unit_ball_actions(np.random.default_rng(seed), T, d)
+    est = WindowedEstimator(d, lam, m)
+    for a in actions:
+        est.record_action(a)
+    want = pre_update_potential(actions, lam)
+    assert abs(est.potential - want) <= 1e-12 * want
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), T=st.sampled_from([1, 200, 1100]),
+       policy=st.sampled_from(["random", "otf_linucb", "oracle_linucb"]))
+def test_episode_potential_sums_pre_update_norms(seed, T, policy):
+    config = ExperimentConfig(d=3, K=4, T=T, delay_mean=5.0, m=10, policy=policy,
+                              base_seed=seed)
+    env_rng, policy_rng = _episode_streams(config.base_seed, 0)
+    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
+    player = make_policy(config)
+    played = []
+    for t in range(1, T + 1):
+        aset = generate_action_set(env_rng, config.d, config.K)
+        idx = player.select(aset, policy_rng)
+        events = env.step(idx, aset)
+        if player.needs_uncensored_feedback:
+            events = [ConversionEvent(t)] if env.last_reward else []
+        player.observe(events, aset.actions[idx])
+        played.append(aset.actions[idx])
+    want = pre_update_potential(np.array(played), config.lam)
+    assert abs(player.est.potential - want) <= 1e-12 * want
+    assert run_episode(config, 0).elliptical_potential == player.est.potential
