@@ -9,7 +9,7 @@ randomness always comes from a caller-owned generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -105,23 +105,24 @@ class FixedDelay(DelayDistribution):
         return float(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDelay(DelayDistribution):
     """Uniform resampling from a finite pool of observed delays.
 
     Raw samples are multiplied by ``scale`` and floored to integers at
-    construction; the floored values are the support, and the CDF and mean
-    are exact with respect to that support.
+    construction; only the floored values are kept. They are the support,
+    the CDF and mean are exact with respect to it, and two pools are equal
+    iff their supports are.
     """
 
-    samples: tuple
+    samples: InitVar[tuple]
     scale: float = 1.0
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, samples):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        raw = np.asarray(self.samples, dtype=float)
+        raw = np.asarray(samples, dtype=float)
         if raw.size == 0:
             raise ValueError("empty delay sample set")
         if np.any(raw < 0):
@@ -134,6 +135,14 @@ class EmpiricalDelay(DelayDistribution):
     def values(self) -> np.ndarray:
         """The scaled, floored integer support (one entry per sample)."""
         return self._values.copy()
+
+    def __eq__(self, other):
+        if not isinstance(other, EmpiricalDelay):
+            return NotImplemented
+        return np.array_equal(self._values, other._values)
+
+    def __hash__(self):
+        return hash(self._values.tobytes())
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(self._values[rng.integers(self._values.size)])

@@ -139,7 +139,8 @@ class DelayedBanditEnv:
         if x == 1:
             self._pending.setdefault(t + d, []).append(t)
         self.t = t + 1
-        return [ConversionEvent(s) for s in sorted(self._pending.pop(t, []))]
+        # each reveal list was appended in increasing round order
+        return [ConversionEvent(s) for s in self._pending.pop(t, [])]
 
     def instantaneous_regret(self, chosen: np.ndarray, action_set: ActionSet) -> float:
         """Gap between the best available expected reward and the chosen one."""

@@ -1,12 +1,13 @@
 """Windowed least-squares estimation under censored delayed conversions.
 
 The estimator regresses revealed positive rewards on all past actions
-through a ridge design matrix, but a conversion only counts if it arrives
-within ``m`` rounds of its action; later arrivals are permanently ignored.
-The design matrix keeps every action regardless, so the estimate targets
-a scaled-down parameter (the true one times the probability that a delay
-fits in the window). Confidence widths add a penalty for the last ``m``
-actions whose conversions may still be in flight.
+through a ridge design matrix, but a conversion only counts if its delay
+is at most ``m`` rounds; later arrivals are permanently ignored. The
+design matrix keeps every action regardless, so the estimate targets a
+scaled-down parameter (the true one times ``tau_m = P(D <= m)``, the
+probability that a delay fits in the window). Confidence widths add a
+penalty for the last ``m`` actions whose conversions may still be in
+flight.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ class WindowedEstimator:
     action's squared norm under the inverse design matrix just before its
     update.
 
-    The window is a ring of the last ``min(m, t - 1)`` rounds: round ``r``
-    lives in row ``(r - 1) % m`` of the action, cached-norm and converted
-    arrays. Those are allocated once with ``m`` rows and indexed by that
-    row count; ``m`` is not meant to change afterwards.
+    The window is a ring of the last ``min(m + 1, t - 1)`` rounds, so a
+    conversion revealed at the end of round ``t`` credits any of rounds
+    ``t - m .. t``: every delay of at most ``m``. Round ``r`` lives in row
+    ``(r - 1) % (m + 1)`` of the action, cached-norm and converted arrays.
+    Those are allocated once and indexed by that row count; ``m`` is not
+    meant to change afterwards. The width penalty covers only the newest
+    ``m`` rounds of the ring, whose conversions may still arrive.
     """
 
     def __init__(self, d: int, lam: float, m: int):
@@ -57,11 +61,11 @@ class WindowedEstimator:
         self.V_inv = (1.0 / lam) * np.eye(d)
         self.B = np.zeros(d)
         self.potential = 0.0
-        self._actions = np.empty((self.m, d))
-        self._norms = np.empty(self.m)
-        self._converted = np.zeros(self.m, dtype=bool)
-        self._rows = self.m
-        self._size = 0  # rounds in the window
+        self._rows = self.m + 1
+        self._actions = np.empty((self._rows, d))
+        self._norms = np.empty(self._rows)
+        self._converted = np.zeros(self._rows, dtype=bool)
+        self._size = 0  # rounds in the ring
         self._updates = 0
         self._eye = np.eye(d)
         # running window norm sum, re-fsummed periodically to kill drift
@@ -95,24 +99,20 @@ class WindowedEstimator:
         if self._updates % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
             self._reinvert()
         cached = math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
-        if self._rows:
-            slot = (self.t - 1) % self._rows
-            evicted = None
-            if self._size == self.m:
-                evicted = float(self._norms[slot])  # round t - m
-            else:
-                self._size += 1
-            self._actions[slot] = a
-            self._norms[slot] = cached
-            self._converted[slot] = False
-            self._cached_sum += cached
-            if evicted is not None:
-                self._cached_sum -= evicted
-            self._cached_ops += 1
-            if self._cached_ops >= 512:
-                self._cached_sum = math.fsum(self._norms[:self._size].tolist())
-                self._cached_ops = 0
+        slot = (self.t - 1) % self._rows
+        self._actions[slot] = a
+        self._norms[slot] = cached
+        self._converted[slot] = False
+        self._cached_sum += cached
+        if self._size >= self.m:
+            # round t - m leaves the penalty (round t itself when m = 0)
+            self._cached_sum -= float(self._norms[(self.t - 1 - self.m) % self._rows])
+        self._size = min(self._size + 1, self.m + 1)
         self.t += 1
+        self._cached_ops += 1
+        if self._cached_ops >= 512:
+            self._cached_sum = math.fsum(self.window_cached_norms())
+            self._cached_ops = 0
 
     def record_conversion(self, round_index: int) -> None:
         """Credit a revealed conversion to its action, if still in the window.
@@ -146,7 +146,10 @@ class WindowedEstimator:
             if self._size == 0:
                 return 0.0
             q = self.sq_norms(self._actions[:self._size])
-            return float(np.sqrt(np.maximum(q, 0.0)).sum())
+            norms = np.sqrt(np.maximum(q, 0.0))
+            if self._size > self.m:  # the oldest ring round is past the penalty
+                norms[(self.t - 1 - self._size) % self._rows] = 0.0
+            return float(norms.sum())
         raise ValueError(f"unknown mode {mode!r}")
 
     def confidence_width(self, delta: float, mode: str = "cached") -> float:
@@ -159,11 +162,11 @@ class WindowedEstimator:
         return np.einsum("ki,ki->k", A @ self.V_inv, A)
 
     def window_rounds(self) -> list[int]:
-        """Rounds in the window, oldest first."""
-        return list(range(self.t - self._size, self.t))
+        """Rounds under the width penalty (the newest ``m``), oldest first."""
+        return list(range(self.t - min(self._size, self.m), self.t))
 
     def window_cached_norms(self) -> list[float]:
-        """Cached norms of the window rounds, oldest first."""
+        """Cached norms of the penalty rounds, oldest first."""
         slots = [(r - 1) % self._rows for r in self.window_rounds()]
         return self._norms[slots].tolist()
 

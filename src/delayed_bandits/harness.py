@@ -3,7 +3,10 @@
 A single episode wires one environment, one policy, and per-run random
 streams derived from ``base_seed + run_index``. Batches are share-nothing
 across replications and aggregate in run-id order, so serial and parallel
-execution produce identical results.
+execution produce identical results. ``ExperimentConfig`` is the one
+configuration type: its ``validate`` covers the policy settings, policies
+read it directly, and an episode's elliptical potential is the one its
+policy's estimator sums.
 """
 
 from __future__ import annotations
@@ -66,12 +69,12 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Fully describes one experiment; every field has a usable default.
 
-    The derived values (``resolved_delay``, theta, window, ``tau_m``)
-    are cached properties: each is resolved once per
-    instance, kept in the instance ``__dict__`` (so it travels with the
-    pickled config to worker processes) and dropped by
-    ``dataclasses.replace``, which builds a new instance. ``build_delay()``
-    constructs a new distribution on every call.
+    The derived values (``resolved_delay``, theta, window, ``tau_m``) are
+    cached properties: each is resolved once per instance, kept in the
+    instance ``__dict__`` (so it travels with the pickled config to worker
+    processes) and dropped by ``dataclasses.replace``, which builds a new
+    instance. ``build_delay()`` constructs a new distribution on every
+    call.
     """
 
     d: int = 5

@@ -9,8 +9,9 @@ the action just played. Every policy is built from a validated
 
 Ties break toward the lowest index among equal *computed* scores. Scores
 go through BLAS, so actions whose exact scores tie (every unit action in
-round 1) can compute an ulp apart, and the larger computed score wins. Bitwise-duplicate rows can also score an ulp
-apart; they are the same action, so that does not change the trajectory.
+round 1) can compute an ulp apart, and the larger computed score wins.
+Bitwise-duplicate rows can also score an ulp apart; they are the same
+action, so that does not change the trajectory.
 """
 
 from __future__ import annotations
@@ -93,10 +94,10 @@ class LinearPolicy(Policy):
       exists as a test hook; zero makes selection deterministic.
     * ``oracle_linucb``: baseline fed the true reward of every round with
       no delay, selecting with the plain exploration radius (no window
-      penalty). Its immediate conversion always falls inside a one-round
-      window, so every reward is credited. Feeding immediate positive-only
-      events is equivalent to feeding the raw Bernoulli reward because
-      zero rewards contribute nothing.
+      penalty). Every window credits a delay of zero, so every reward is
+      credited. Feeding immediate positive-only events is equivalent to
+      feeding the raw Bernoulli reward because zero rewards contribute
+      nothing.
     """
 
     def __init__(self, config: ExperimentConfig, cov_scale: float = 1.0):
@@ -107,8 +108,7 @@ class LinearPolicy(Policy):
         self.config = config
         self.cov_scale = cov_scale
         self.needs_uncensored_feedback = config.policy == "oracle_linucb"
-        m = 1 if self.needs_uncensored_feedback else config.resolved_window
-        self.est = WindowedEstimator(config.d, config.lam, m)
+        self.est = WindowedEstimator(config.d, config.lam, config.resolved_window)
 
     def sample_parameter(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Draw from N(estimate, cov_scale * inflation * V_inv) exactly.

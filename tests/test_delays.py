@@ -1,5 +1,7 @@
 """Delay distribution behavior: sampling, CDFs, windows, file loading."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,25 @@ class TestEmpirical:
             EmpiricalDelay((3, -1))
         with pytest.raises(ValueError):
             EmpiricalDelay(())
+
+    def test_keeps_only_the_floored_support(self):
+        raw = tuple(np.random.default_rng(4).uniform(0, 50, size=1000).tolist())
+        dist = EmpiricalDelay(raw, scale=0.5)
+        assert not hasattr(dist, "samples")
+        assert np.array_equal(dist.values, np.floor(0.5 * np.array(raw)).astype(np.int64))
+        copy = pickle.loads(pickle.dumps(dist))
+        assert copy == dist and np.array_equal(copy.values, dist.values)
+        # the raw floats would add about 18 bytes each to the pickle
+        assert len(pickle.dumps(dist)) < 8 * len(raw) + 500
+
+    def test_equal_iff_supports_equal(self):
+        assert EmpiricalDelay((1, 2)) == EmpiricalDelay((1.5, 2.9))
+        assert hash(EmpiricalDelay((1, 2))) == hash(EmpiricalDelay((1.5, 2.9)))
+        assert EmpiricalDelay((4, 6), scale=0.5) == EmpiricalDelay((2, 3))
+        assert EmpiricalDelay((1, 2)) != EmpiricalDelay((1, 3))
+        assert EmpiricalDelay((1, 2)) != EmpiricalDelay((2, 1))
+        assert EmpiricalDelay((1, 2)) != EmpiricalDelay((1, 2, 2))
+        assert EmpiricalDelay((1, 2)) != FixedDelay(1)
 
 
 class TestLognormal:

@@ -28,11 +28,17 @@ class TestInit:
         assert np.array_equal(est.estimate(), np.zeros(3))
 
     def test_zero_window_ignores_conversions(self):
+        # a zero window credits only delay-0 conversions and has no penalty
         est = WindowedEstimator(d=2, lam=1.0, m=0)
         est.record_action(E1)
+        est.record_action(np.array([0.0, 1.0]))
         est.record_conversion(1)
         assert est.window_rounds() == []
+        assert est.window_norm_sum("cached") == 0.0
+        assert est.window_norm_sum("exact") == 0.0
         assert np.array_equal(est.estimate(), np.zeros(2))
+        est.record_conversion(2)
+        assert np.array_equal(est.B, [0.0, 1.0])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Harness: config handling, episodes, batches, coverage, CSV round-trips."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 from delayed_bandits import harness
 from delayed_bandits.bounds import regret_upper_bound
+from delayed_bandits.delays import FixedDelay, GeometricDelay, LognormalDelay
+from delayed_bandits.environment import ActionSet, DelayedBanditEnv
+from delayed_bandits.policies import make_policy
 from delayed_bandits.harness import (
     PRESETS,
     ConfigError,
@@ -380,6 +384,45 @@ class TestConcentrationCoverage:
     def test_rep_count_validated(self):
         with pytest.raises(ConfigError):
             concentration_coverage(TINY, 0)
+
+
+def credited_and_revealed(delay, m, T, seed=0):
+    """Play the only action e1 against theta = e1 (every round converts)
+    through an OTFLinUCB policy, in the harness's observe order."""
+    policy = make_policy(ExperimentConfig(d=1, K=1, m=m))
+    env = DelayedBanditEnv(np.ones(1), delay, np.random.default_rng(seed))
+    aset = ActionSet(np.eye(1))
+    revealed = 0
+    for _ in range(T):
+        events = env.step(0, aset)
+        revealed += len(events)
+        policy.observe(events, aset.actions[0])
+    return int(policy.est.B[0]), revealed
+
+
+class TestWindowCreditsDelayUpToM:
+    """The estimator credits a conversion iff its delay is at most m, the
+    event whose probability is tau_m."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_fixed_delay_of_m_is_fully_credited(self, m):
+        credited, revealed = credited_and_revealed(FixedDelay(m), m, 200)
+        assert revealed == 200 - m
+        assert credited == revealed
+
+    def test_coverage_at_fixed_delay_equal_to_window(self):
+        config = ExperimentConfig(d=5, K=10, T=1000, delay="fixed", delay_value=20,
+                                  m=20, base_seed=0)
+        assert config.tau_m == 1.0
+        assert concentration_coverage(config, 20) >= 0.95
+
+    @pytest.mark.parametrize("delay", [GeometricDelay(5.0), LognormalDelay(1.5, 0.8)])
+    def test_credited_fraction_matches_tau_m(self, delay):
+        m = 5
+        credited, revealed = credited_and_revealed(delay, m, 20_000)
+        tau = delay.cdf(m)
+        se = math.sqrt(tau * (1.0 - tau) / revealed)
+        assert abs(credited / revealed - tau) <= 3.0 * se
 
 
 def test_upper_bound_far_above_preset_regret():

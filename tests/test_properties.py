@@ -28,8 +28,12 @@ def unit_ball_actions(rng, n, d):
 
 
 class DequeWindow:
-    """Reference window: a deque of [round, action, norm, converted] entries
-    with the running norm sum updated in the estimator's order."""
+    """Reference window: a deque of [round, action, norm, converted] entries.
+
+    It keeps the last m + 1 rounds, so a conversion revealed after round t
+    credits rounds t - m .. t. The width penalty covers the newest m, with
+    the running norm sum updated in the estimator's order.
+    """
 
     def __init__(self, m):
         self.m = m
@@ -40,20 +44,23 @@ class DequeWindow:
         self.ops = 0
 
     def record(self, t, a, norm):
-        if self.m == 0:
-            return
         entry = [t, a.copy(), norm, False]
         self.entries.append(entry)
         self.by_round[t] = entry
-        self.cached_sum += norm
-        if len(self.entries) > self.m:
+        if len(self.entries) > self.m + 1:
             old = self.entries.popleft()
             del self.by_round[old[0]]
-            self.cached_sum -= old[2]
+        self.cached_sum += norm
+        if len(self.entries) > self.m:  # round t - m leaves the penalty
+            self.cached_sum -= self.entries[0][2]
         self.ops += 1
         if self.ops >= 512:
-            self.cached_sum = math.fsum(e[2] for e in self.entries)
+            self.cached_sum = math.fsum(e[2] for e in self.penalty())
             self.ops = 0
+
+    def penalty(self):
+        """The newest m entries, oldest first."""
+        return list(self.entries)[max(len(self.entries) - self.m, 0):]
 
     def convert(self, r):
         entry = self.by_round.get(r)
@@ -62,9 +69,9 @@ class DequeWindow:
             entry[3] = True
 
     def exact_width(self, V_inv):
-        if not self.entries:
+        if not self.penalty():
             return 0.0
-        A = np.stack([e[1] for e in self.entries])
+        A = np.stack([e[1] for e in self.penalty()])
         return float(np.sqrt(np.maximum(einsum_sq_norms(A, V_inv), 0.0)).sum())
 
 
@@ -81,15 +88,15 @@ def check_against_model(m, T, seed, d=3):
         for r in rng.integers(t - m - 3, t + 2, size=3):
             est.record_conversion(int(r))
             model.convert(int(r))
-        assert est.window_rounds() == [e[0] for e in model.entries]
-        assert est.window_cached_norms() == [e[2] for e in model.entries]
+        assert est.window_rounds() == [e[0] for e in model.penalty()]
+        assert est.window_cached_norms() == [e[2] for e in model.penalty()]
         assert est.window_norm_sum("cached") == max(model.cached_sum, 0.0)
         exact = est.window_norm_sum("exact")
         want = model.exact_width(est.V_inv)
         assert abs(exact - want) <= 1e-12 * max(want, 1e-300)
         assert np.array_equal(est.B, model.B)
-        # the ring holds exactly m rows
-        assert len(est._norms) == m
+        # the ring holds exactly m + 1 rows
+        assert len(est._norms) == m + 1
 
 
 @settings(max_examples=40, deadline=None)
