@@ -47,13 +47,7 @@ from .harness import (
     summarize,
 )
 from .io import emit_csv, read_config_file, read_traces_csv
-from .policies import (
-    LinearPolicy,
-    Policy,
-    RandomPolicy,
-    covariance_inflation,
-    make_policy,
-)
+from .policies import LinearPolicy, RandomPolicy, make_policy
 
 __version__ = "0.1.0"
 
@@ -70,7 +64,6 @@ __all__ = [
     "LinearPolicy",
     "LognormalDelay",
     "PRESETS",
-    "Policy",
     "RandomPolicy",
     "RegretTrace",
     "SummaryStats",
@@ -79,7 +72,6 @@ __all__ = [
     "bernoulli_kl",
     "build_config",
     "concentration_coverage",
-    "covariance_inflation",
     "elliptical_potential_bound",
     "emit_csv",
     "generate_action_set",

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "exploration_radius_at",
     "regret_upper_bound",
@@ -71,6 +69,15 @@ def bernoulli_kl(p: float, q: float) -> float:
     return max(result, 0.0)
 
 
+def _check_instance(T: int, K: int, tau_m: float) -> None:
+    if K <= 1:
+        raise ValueError(f"K must exceed 1, got {K}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if not (0.0 < tau_m < 1.0):
+        raise ValueError(f"tau_m must lie in (0, 1), got {tau_m}")
+
+
 def minimax_lower_bound(T: int, K: int, tau_m: float, gap: float) -> float:
     """Worst-case combined regret of the hard two-instance pair at a gap.
 
@@ -79,24 +86,21 @@ def minimax_lower_bound(T: int, K: int, tau_m: float, gap: float) -> float:
     K-armed instances separated by twice the gap, under censoring level
     ``tau_m``.
     """
-    if K <= 1:
-        raise ValueError(f"K must exceed 1, got {K}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not (0.0 < tau_m < 1.0):
-        raise ValueError(f"tau_m must lie in (0, 1), got {tau_m}")
+    _check_instance(T, K, tau_m)
     if not (0.0 < gap <= 0.125):
         raise ValueError(f"gap must lie in (0, 1/8], got {gap}")
     return (T * gap / 4.0) * math.exp(-32.0 * tau_m * gap * gap * T / (K - 1))
 
 
-def tuned_minimax_lower_bound(T: int, K: int, tau_m: float,
-                              grid_size: int = 64) -> tuple[float, float]:
-    """Maximize the lower bound over a geometric grid of gaps.
+def tuned_minimax_lower_bound(T: int, K: int, tau_m: float) -> tuple[float, float]:
+    """Maximize the lower bound over the gap in closed form.
 
-    Returns (best gap, value at that gap). The grid spans [1e-4, 1/8].
+    With c = 32 * tau_m * T / (K - 1) the bound is proportional to
+    gap * exp(-c * gap^2), which is unimodal with its peak at
+    1 / sqrt(2 c); the best admissible gap is that peak clipped to 1/8.
+    Returns (best gap, value at that gap).
     """
-    gaps = np.geomspace(1e-4, 0.125, grid_size)
-    values = [minimax_lower_bound(T, K, tau_m, float(g)) for g in gaps]
-    best = int(np.argmax(values))
-    return float(gaps[best]), float(values[best])
+    _check_instance(T, K, tau_m)
+    c = 32.0 * tau_m * T / (K - 1)
+    gap = min(1.0 / math.sqrt(2.0 * c), 0.125)
+    return gap, minimax_lower_bound(T, K, tau_m, gap)

@@ -66,11 +66,9 @@ class WindowedEstimator:
         self._norms = np.empty(self._rows)
         self._converted = np.zeros(self._rows, dtype=bool)
         self._size = 0  # rounds in the ring
-        self._updates = 0
         self._eye = np.eye(d)
-        # running window norm sum, re-fsummed periodically to kill drift
+        # running window norm sum, re-fsummed every 512 actions to kill drift
         self._cached_sum = 0.0
-        self._cached_ops = 0
 
     @property
     def num_actions(self) -> int:
@@ -95,8 +93,7 @@ class WindowedEstimator:
         self.potential += sq
         self.V_inv -= np.outer(u, u) / (1.0 + sq)
         self.V_inv = 0.5 * (self.V_inv + self.V_inv.T)
-        self._updates += 1
-        if self._updates % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
+        if self.t % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
             self._reinvert()
         cached = math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
         slot = (self.t - 1) % self._rows
@@ -109,10 +106,8 @@ class WindowedEstimator:
             self._cached_sum -= float(self._norms[(self.t - 1 - self.m) % self._rows])
         self._size = min(self._size + 1, self.m + 1)
         self.t += 1
-        self._cached_ops += 1
-        if self._cached_ops >= 512:
+        if self.num_actions % 512 == 0:
             self._cached_sum = math.fsum(self.window_cached_norms())
-            self._cached_ops = 0
 
     def record_conversion(self, round_index: int) -> None:
         """Credit a revealed conversion to its action, if still in the window.

@@ -34,7 +34,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def preset_config(name: str, policy: str, n_runs: int) -> ExperimentConfig:
     config = apply_preset(ExperimentConfig(), name)
-    return replace(config, policy=policy, n_runs=n_runs, base_seed=0)
+    # two workers; criterion 11 shows serial and parallel batches match
+    return replace(config, policy=policy, n_runs=n_runs, base_seed=0, n_jobs=2)
 
 
 @pytest.fixture(scope="module")

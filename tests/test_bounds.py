@@ -97,8 +97,13 @@ class TestMinimaxLowerBound:
         c = 32.0 * tau * T / (K - 1)
         analytic_gap = 1.0 / math.sqrt(2 * c)
         analytic_value = (T * analytic_gap / 4.0) * math.exp(-0.5)
-        assert gap == pytest.approx(analytic_gap, rel=0.2)  # grid resolution
-        assert value == pytest.approx(analytic_value, rel=0.05)
+        assert gap == pytest.approx(analytic_gap, rel=1e-12)
+        assert value == pytest.approx(analytic_value, rel=1e-12)
+        # a short horizon puts the peak past 1/8, so the gap is clipped
+        gap, value = tuned_minimax_lower_bound(10, 10, 0.5)
+        assert gap == 0.125
+        assert value == pytest.approx(minimax_lower_bound(10, 10, 0.5, 0.125),
+                                      rel=1e-12)
 
     def test_sqrt_horizon_scaling(self):
         values = [tuned_minimax_lower_bound(T, 10, 0.5)[1]

@@ -7,13 +7,7 @@ from scipy import stats
 from delayed_bandits.environment import ActionSet, ConversionEvent, DelayedBanditEnv
 from delayed_bandits.delays import FixedDelay, GeometricDelay
 from delayed_bandits.harness import ExperimentConfig
-from delayed_bandits.policies import (
-    LinearPolicy,
-    RandomPolicy,
-    covariance_inflation,
-    make_policy,
-    ucb_scores,
-)
+from delayed_bandits.policies import LinearPolicy, RandomPolicy, make_policy
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -61,8 +55,12 @@ class TestOTFLinUCB:
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
             aset = ActionSet(raw)
             idx = policy.select(aset, rng)
-            scores = ucb_scores(policy.est, 0.05, "cached", aset, 1.0)
-            assert scores[idx] == scores.max()
+            # the optimistic index from a fresh solve against V
+            est, A = policy.est, aset.actions
+            width = est.confidence_width(0.05, "cached")
+            norms = np.sqrt(np.einsum("ki,ki->k", A, np.linalg.solve(est.V, A.T).T))
+            scores = A @ np.linalg.solve(est.V, est.B) + width * norms
+            assert scores[idx] >= scores.max() - 1e-12 * max(1.0, np.abs(scores).max())
             events = [ConversionEvent(t)] if rng.random() < 0.4 else []
             policy.observe(events, aset.actions[idx])
 
@@ -81,30 +79,10 @@ class TestOTFLinUCB:
             policy.select(empty, np.random.default_rng(0))
 
 
-class TestCovarianceInflation:
-    def test_empty_window_gives_one(self):
-        policy = LinearPolicy(contract_config(3, policy="otf_lints"))
-        assert covariance_inflation(policy.est, 0.05) == pytest.approx(1.0)
-
-    def test_at_least_one_and_matches_components(self):
-        rng = np.random.default_rng(3)
-        policy = LinearPolicy(contract_config(3, policy="otf_lints", m=8))
-        for t in range(1, 40):
-            raw = rng.standard_normal(3)
-            a = raw / np.linalg.norm(raw)
-            policy.observe([ConversionEvent(t)] if rng.random() < 0.5 else [], a)
-            est = policy.est
-            value = covariance_inflation(est, 0.05, "cached")
-            expected = 1.0 + est.window_norm_sum("cached") / est.exploration_radius(0.05)
-            assert value == pytest.approx(expected, rel=1e-12)
-            assert value >= 1.0
-
-
 class TestOTFLinTS:
     @staticmethod
-    def _trained_policy(cov_scale=1.0):
-        policy = LinearPolicy(contract_config(3, policy="otf_lints", m=6),
-                              cov_scale=cov_scale)
+    def _trained_policy():
+        policy = LinearPolicy(contract_config(3, policy="otf_lints", m=6))
         rng = np.random.default_rng(4)
         for t in range(1, 120):
             raw = rng.standard_normal(3)
@@ -112,37 +90,62 @@ class TestOTFLinTS:
             policy.observe([ConversionEvent(t)] if rng.random() < 0.6 else [], a)
         return policy
 
-    def test_zero_covariance_is_greedy(self):
-        policy = self._trained_policy(cov_scale=0.0)
+    @staticmethod
+    def _draws(policy, seed, n=100_000):
+        rng = np.random.default_rng(seed)
+        return np.array([policy.sample_parameter(rng) for _ in range(n)])
+
+    @staticmethod
+    def _target_cov(est):
+        # the window's in-flight norms inflate the inverse design matrix
+        infl = 1.0 + est.window_norm_sum("cached") / est.exploration_radius(0.05)
+        assert infl >= 1.0
+        return infl * est.V_inv
+
+    def test_select_is_argmax_of_sampled_parameter(self):
+        policy = self._trained_policy()
         aset = ActionSet(np.vstack([np.eye(3), -np.eye(3) * 0.9]))
-        greedy = int(np.argmax(aset.actions @ policy.est.estimate()))
-        rng = np.random.default_rng(5)
-        assert all(policy.select(aset, rng) == greedy for _ in range(25))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(25):
+            greedy = int(np.argmax(aset.actions @ policy.sample_parameter(twin)))
+            assert policy.select(aset, rng) == greedy
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_sample_mean_matches_estimate(self):
         policy = self._trained_policy()
         n = 100_000
-        draws = policy.sample_parameter(np.random.default_rng(6), size=n)
-        infl = covariance_inflation(policy.est, 0.05)
-        cov = infl * policy.est.V_inv
+        draws = self._draws(policy, 6, n)
+        cov = self._target_cov(policy.est)
         center = policy.est.estimate()
         tol = 3.0 * np.sqrt(np.diag(cov)) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - center) < tol)
 
     def test_sample_covariance_matches_target(self):
         policy = self._trained_policy()
-        n = 100_000
-        draws = policy.sample_parameter(np.random.default_rng(7), size=n)
-        infl = covariance_inflation(policy.est, 0.05)
-        target = infl * policy.est.V_inv
+        est = policy.est
+        assert est.window_norm_sum("cached") > 0.0  # the inflation is exercised
+        draws = self._draws(policy, 7)
+        target = self._target_cov(est)
         sample_cov = np.cov(draws.T)
         rel = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
         assert rel < 0.05
 
+    def test_fresh_policy_samples_inverse_design_matrix(self):
+        # an empty window leaves the covariance uninflated: V_inv = I / lam
+        policy = LinearPolicy(contract_config(3, policy="otf_lints", lam=2.0))
+        est = policy.est
+        assert self._target_cov(est) == pytest.approx(est.V_inv, rel=1e-12)
+        n = 100_000
+        draws = self._draws(policy, 13, n)
+        tol = 3.0 * np.sqrt(np.diag(est.V_inv)) / np.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0)) < tol)
+        rel = np.linalg.norm(np.cov(draws.T) - est.V_inv) / np.linalg.norm(est.V_inv)
+        assert rel < 0.05
+
     def test_select_consumes_fixed_randomness(self):
-        # equal seeds give equal choices regardless of covariance scale
-        a = self._trained_policy(cov_scale=0.0)
-        b = self._trained_policy(cov_scale=0.0)
+        # equal seeds give equal choices and leave equal generator states
+        a = self._trained_policy()
+        b = self._trained_policy()
         aset = ActionSet(np.eye(3))
         r1, r2 = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(10):
