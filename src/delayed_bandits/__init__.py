@@ -38,7 +38,6 @@ from .harness import (
     ExperimentConfig,
     RegretTrace,
     SummaryStats,
-    apply_preset,
     build_config,
     concentration_coverage,
     elliptical_potential_bound,
@@ -68,7 +67,6 @@ __all__ = [
     "RegretTrace",
     "SummaryStats",
     "WindowedEstimator",
-    "apply_preset",
     "bernoulli_kl",
     "build_config",
     "concentration_coverage",

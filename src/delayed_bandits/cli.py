@@ -33,12 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--preset", choices=sorted(harness.PRESETS),
                      help="scenario preset (overrides scenario keys)")
-    run.add_argument("--policy", choices=["otf_linucb", "otf_lints",
-                                          "oracle_linucb", "oracle", "random"])
-    run.add_argument("--runs", type=int, help="number of replications")
-    run.add_argument("--seed", type=int, help="base seed")
+    run.add_argument("--policy", choices=[*harness.POLICY_KINDS, "oracle"])
+    run.add_argument("--runs", dest="n_runs", type=int, help="number of replications")
+    run.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    run.add_argument("--jobs", dest="n_jobs", type=int,
+                     help="worker processes (default 1)")
 
     bounds = sub.add_parser("bounds", help="evaluate the regret upper bound")
     bounds.add_argument("--T", type=int, required=True)
@@ -66,22 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> harness.ExperimentConfig:
+    """One config from the file's values, the preset and the flags.
+
+    Flags replace file values before anything is parsed; the preset keys
+    and the flag keys do not overlap, so flags also win over the preset.
+    """
     values = io.read_config_file(args.config) if args.config else {}
-    config = harness.build_config(values)
-    if getattr(args, "preset", None):
-        config = harness.apply_preset(config, args.preset)
-    overrides = {}
-    if getattr(args, "policy", None):
-        overrides["policy"] = "oracle_linucb" if args.policy == "oracle" else args.policy
-    if getattr(args, "runs", None) is not None:
-        overrides["n_runs"] = str(args.runs)
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = str(args.seed)
-    if getattr(args, "out", None):
-        overrides["out"] = args.out
-    if getattr(args, "jobs", None) is not None:
-        overrides["n_jobs"] = str(args.jobs)
-    return harness.build_config(overrides, base=config)
+    flags = {key: getattr(args, key, None)
+             for key in ("policy", "n_runs", "base_seed", "out", "n_jobs")}
+    if flags["policy"] == "oracle":
+        flags["policy"] = "oracle_linucb"
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return harness.build_config(values, args.preset)
 
 
 def _cmd_run(args) -> int:

@@ -87,12 +87,12 @@ class WindowedEstimator:
         if a @ a > 1.0 + 1e-6:
             raise ValueError("action norm exceeds 1")
         self.V += np.outer(a, a)
-        # rank-one inverse update
+        # rank-one inverse update; np.outer(u, u) is exactly symmetric, so
+        # V_inv stays exactly symmetric without re-symmetrizing
         u = self.V_inv @ a
         sq = float(a @ u)
         self.potential += sq
         self.V_inv -= np.outer(u, u) / (1.0 + sq)
-        self.V_inv = 0.5 * (self.V_inv + self.V_inv.T)
         if self.t % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
             self._reinvert()
         cached = math.sqrt(max(float(a @ self.V_inv @ a), 0.0))

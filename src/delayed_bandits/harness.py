@@ -4,16 +4,16 @@ A single episode wires one environment, one policy, and per-run random
 streams derived from ``base_seed + run_index``. Batches are share-nothing
 across replications and aggregate in run-id order, so serial and parallel
 execution produce identical results. ``ExperimentConfig`` is the one
-configuration type: its ``validate`` covers the policy settings, policies
-read it directly, and an episode's elliptical potential is the one its
-policy's estimator sums.
+configuration type: it is validated when it is built, policies read it
+directly, and an episode's elliptical potential is the one its policy's
+estimator sums.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -44,14 +44,12 @@ __all__ = [
     "RegretTrace",
     "SummaryStats",
     "PRESETS",
-    "apply_preset",
     "build_config",
     "run_episode",
     "run_batch",
     "summarize",
     "concentration_coverage",
     "elliptical_potential_bound",
-    "CONFIG_DEFAULTS",
 ]
 
 THETA_KINDS = ("uniform_unit", "explicit", "k_armed_hard")
@@ -69,12 +67,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Fully describes one experiment; every field has a usable default.
 
-    The derived values (``resolved_delay``, theta, window, ``tau_m``) are
-    cached properties: each is resolved once per instance, kept in the
-    instance ``__dict__`` (so it travels with the pickled config to worker
-    processes) and dropped by ``dataclasses.replace``, which builds a new
-    instance. ``build_delay()`` constructs a new distribution on every
-    call.
+    Construction validates every field and resolves the derived values
+    (``resolved_delay``, theta, window, ``tau_m``), so an instance that
+    exists is valid; a failed check or resolution raises ``ConfigError``.
+    The derived values are cached properties, kept in the instance
+    ``__dict__``, so they travel with the pickled config to worker
+    processes. ``dataclasses.replace`` builds, validates and resolves a
+    new instance. ``build_delay()`` constructs a new distribution on
+    every call.
     """
 
     d: int = 5
@@ -103,7 +103,7 @@ class ExperimentConfig:
     output_path: str = "results"
     n_jobs: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.d < 1 or self.K < 1 or self.T < 1 or self.n_runs < 1:
             raise ConfigError("d, K, T and n_runs must all be >= 1")
         if self.base_seed < 0:
@@ -133,11 +133,11 @@ class ExperimentConfig:
         if self.width_scale < 0:
             raise ConfigError(f"width_scale must be >= 0, got {self.width_scale}")
         try:  # resolve (and cache) the derived values
-            self.resolved_delay
+            self.tau_m  # resolves the delay and the window first
             self.resolve_theta
         except ConfigError:
             raise
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def build_delay(self) -> DelayDistribution:
@@ -249,15 +249,6 @@ PRESETS: dict = {
               delay_log_std=1.2, m=2000),
 }
 
-
-def apply_preset(config: ExperimentConfig, name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r} (expected one of A, B, C, D)")
-    return replace(config, **PRESETS[name])
-
-
-CONFIG_DEFAULTS = ExperimentConfig()
-
 _INT_KEYS = {"d", "K", "T", "hard_arm", "delay_value", "n_runs", "base_seed", "n_jobs"}
 _FLOAT_KEYS = {"hard_gap", "delay_mean", "delay_scale", "delay_log_mean",
                "delay_log_std", "delta", "lambda", "width_scale"}
@@ -265,36 +256,39 @@ _STR_KEYS = {"theta", "action_mode", "delay", "delay_path", "policy",
              "width_mode", "out"}
 
 
-def build_config(values: dict, base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
-    """Turn a flat string-to-string mapping into a validated config.
+def build_config(values: dict, preset: Optional[str] = None) -> ExperimentConfig:
+    """Build one config from a flat key-to-value mapping and a preset name.
 
-    Unknown keys are rejected. ``m`` accepts an integer or the literal
-    ``auto`` (twice the mean delay, rounded up).
+    Values are parsed from their string form and unknown keys are
+    rejected. ``m`` accepts an integer or the literal ``auto`` (twice the
+    mean delay, rounded up). The preset's scenario keys replace the same
+    keys of ``values``; only the resulting config is validated.
     """
-    config = base if base is not None else ExperimentConfig()
-    updates: dict = {}
+    fields: dict = {}
     for key, raw in values.items():
         raw = str(raw).strip()
         try:
             if key in _INT_KEYS:
-                updates[key] = int(raw)
+                fields[key] = int(raw)
             elif key in _FLOAT_KEYS:
-                updates["lam" if key == "lambda" else key] = float(raw)
+                fields["lam" if key == "lambda" else key] = float(raw)
             elif key == "m":
-                updates[key] = None if raw == "auto" else int(raw)
+                fields[key] = None if raw == "auto" else int(raw)
             elif key == "theta_values":
-                updates[key] = tuple(float(v) for v in raw.split(",") if v.strip())
+                fields[key] = tuple(float(v) for v in raw.split(",") if v.strip())
             elif key in _STR_KEYS:
-                updates["output_path" if key == "out" else key] = raw
+                fields["output_path" if key == "out" else key] = raw
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    config = replace(config, **updates)
-    config.validate()
-    return config
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r} (expected one of A, B, C, D)")
+        fields.update(PRESETS[preset])
+    return ExperimentConfig(**fields)
 
 
 def elliptical_potential_bound(d: int, lam: float, T: int) -> float:
@@ -349,7 +343,6 @@ def summarize(traces: list) -> SummaryStats:
 
 def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
     """Run ``n_runs`` independent episodes, serially or in worker processes."""
-    config.validate()
     indices = range(config.n_runs)
     if config.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
@@ -371,7 +364,6 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     than the exact-mode confidence width. Coverage counts replications
     where the check holds simultaneously for all rounds.
     """
-    config.validate()
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
     theta = config.resolve_theta

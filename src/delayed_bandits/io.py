@@ -114,6 +114,8 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if path.is_dir():
+        raise ConfigError(f"config path is a directory: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()

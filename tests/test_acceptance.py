@@ -20,7 +20,7 @@ from delayed_bandits.delays import GeometricDelay
 from delayed_bandits.estimator import WindowedEstimator
 from delayed_bandits.harness import (
     ExperimentConfig,
-    apply_preset,
+    build_config,
     concentration_coverage,
     elliptical_potential_bound,
     run_batch,
@@ -33,7 +33,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def preset_config(name: str, policy: str, n_runs: int) -> ExperimentConfig:
-    config = apply_preset(ExperimentConfig(), name)
+    config = build_config({}, name)
     # two workers; criterion 11 shows serial and parallel batches match
     return replace(config, policy=policy, n_runs=n_runs, base_seed=0, n_jobs=2)
 

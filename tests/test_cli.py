@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from delayed_bandits import harness
 from delayed_bandits.cli import main
 from delayed_bandits.io import read_traces_csv
 from delayed_bandits.policies import LinearPolicy
@@ -69,6 +70,44 @@ class TestRun:
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 1
+
+    def test_config_directory_exits_1(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert "config error: " in capsys.readouterr().err
+
+    def test_flag_replaces_file_value_before_validation(self, tiny_config, tmp_path):
+        # the file's n_jobs = 0 alone is invalid, but --jobs replaces it
+        tiny_config.write_text(tiny_config.read_text() + "n_jobs = 0\n")
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(tiny_config), "--jobs", "1",
+                     "--out", str(out)]) == 0
+        assert "n_jobs = 1" in (out / "metadata.txt").read_text()
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "coverage"])
+    def test_overflowing_auto_window_exits_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "heavy.cfg"
+        cfg.write_text("T = 10\ndelay = lognormal\ndelay_log_std = 40\nm = auto\n")
+        argv = {"run": ["--out", str(tmp_path / "r")], "coverage": ["--reps", "2"]}
+        assert main([command, "--config", str(cfg), *argv[command]]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["run", "coverage"])
+    def test_delay_file_parsed_once_per_command(self, tmp_path, monkeypatch, command):
+        delays = tmp_path / "delays.txt"
+        delays.write_text("1\n3\n8\n")
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"d = 3\nK = 4\nT = 30\nn_runs = 2\nm = auto\n"
+                       f"delay = empirical\ndelay_path = {delays}\n")
+        calls = []
+        load = harness.load_empirical
+        monkeypatch.setattr(harness, "load_empirical",
+                            lambda *args: calls.append(args) or load(*args))
+        argv = {"run": ["--seed", "3", "--out", str(tmp_path / "r")],
+                "coverage": ["--reps", "1"]}
+        assert main([command, "--config", str(cfg), *argv[command]]) == 0
+        assert len(calls) == 1
 
     def test_unwritable_output_exits_2(self, tiny_config, tmp_path):
         blocker = tmp_path / "file"

@@ -15,7 +15,6 @@ from delayed_bandits.harness import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
-    apply_preset,
     build_config,
     concentration_coverage,
     elliptical_potential_bound,
@@ -84,7 +83,24 @@ class TestConfig:
             with pytest.raises(ConfigError, match=match):
                 build_config({key: value})
             with pytest.raises(ConfigError, match=match):
-                replace(ExperimentConfig(), **{field: typed}).validate()
+                replace(ExperimentConfig(), **{field: typed})
+
+    def test_construction_validates(self):
+        with pytest.raises(ConfigError, match="d, K, T and n_runs"):
+            ExperimentConfig(d=0)
+        with pytest.raises(ConfigError, match="n_jobs"):
+            replace(TINY, n_jobs=0)
+
+    def test_overflowing_auto_window_rejected_at_build(self):
+        # the lognormal mean exp(7 + 40^2 / 2) overflows a float
+        with pytest.raises(ConfigError):
+            build_config({"delay": "lognormal", "delay_log_std": "40", "m": "auto"})
+
+    def test_preset_replaces_only_scenario_keys(self):
+        config = build_config({"d": "3", "T": "40", "policy": "random",
+                               "n_runs": "7"}, "A")
+        assert (config.d, config.T, config.m) == (5, 3000, 100)
+        assert (config.policy, config.n_runs) == ("random", 7)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="base_seed"):
@@ -101,11 +117,10 @@ class TestConfig:
         assert config.build_delay().mean() == 3.0
 
     def test_preset_values_and_capture_probabilities(self):
-        base = ExperimentConfig()
-        a = apply_preset(base, "A")
-        b = apply_preset(base, "B")
-        c = apply_preset(base, "C")
-        d = apply_preset(base, "D")
+        a = build_config({}, "A")
+        b = build_config({}, "B")
+        c = build_config({}, "C")
+        d = build_config({}, "D")
         assert (a.d, a.K, a.T, a.delay_mean, a.m) == (5, 10, 3000, 100.0, 100)
         assert (b.delay_mean, b.m) == (100.0, 500)
         assert (c.delay_mean, c.m) == (500.0, 100)
@@ -115,8 +130,8 @@ class TestConfig:
         assert 1 / c.tau_m == pytest.approx(5.5, abs=0.1)
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            apply_preset(ExperimentConfig(), "Z")
+        with pytest.raises(ConfigError, match="unknown preset"):
+            build_config({}, "Z")
 
     def test_resolved_items_cover_policy_settings(self):
         keys = [k for k, _ in TINY.resolved_items()]
@@ -153,7 +168,6 @@ class TestResolveOnce:
         monkeypatch.setattr(ExperimentConfig, "build_delay",
                             lambda self: calls.append(self) or build(self))
         config = replace(TINY, m=None)
-        config.validate()
         assert config.tau_m == config.resolved_delay.cdf(config.resolved_window)
         run_batch(config)
         assert len(calls) == 1
@@ -217,7 +231,7 @@ class TestRunEpisode:
                                       abs=1e-12)
 
     def test_heavy_tail_preset_episode_runs(self):
-        config = replace(apply_preset(ExperimentConfig(), "D"), T=400, n_runs=1)
+        config = replace(build_config({}, "D"), T=400, n_runs=1)
         trace = run_episode(config, 0)
         assert len(trace.cum_regret) == 400
         assert np.all(np.diff(trace.cum_regret) >= -1e-12)
@@ -427,7 +441,7 @@ class TestWindowCreditsDelayUpToM:
 
 def test_upper_bound_far_above_preset_regret():
     # loose sanity link between the simulated scale and the analytic bound
-    config = replace(apply_preset(ExperimentConfig(), "A"), T=300, n_runs=2)
+    config = replace(build_config({}, "A"), T=300, n_runs=2)
     _, stats = run_batch(config)
     bound = regret_upper_bound(300, 5, 1.0, 0.05, 100, config.tau_m)
     assert stats.mean[-1] < bound

@@ -17,9 +17,7 @@ def contract_config(d, **kw):
     defaults = dict(d=d, policy="otf_linucb", delta=0.05, lam=1.0, m=10,
                     width_mode="cached", width_scale=1.0)
     defaults.update(kw)
-    config = ExperimentConfig(**defaults)
-    config.validate()
-    return config
+    return ExperimentConfig(**defaults)
 
 
 class TestOTFLinUCB:
