@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -21,7 +21,6 @@ import numpy as np
 
 from .delays import (
     DelayDistribution,
-    EmpiricalDelay,
     FixedDelay,
     GeometricDelay,
     LognormalDelay,
@@ -52,11 +51,19 @@ __all__ = [
     "elliptical_potential_bound",
 ]
 
-THETA_KINDS = ("uniform_unit", "explicit", "k_armed_hard")
+# each kind's own keys, in metadata order; a delay kind's keys are also the
+# positional arguments of its constructor
+THETA_KEYS = {"uniform_unit": (), "explicit": ("theta_values",),
+              "k_armed_hard": ("hard_gap", "hard_arm")}
+DELAY_KEYS = {"geometric": ("delay_mean",), "fixed": ("delay_value",),
+              "empirical": ("delay_path", "delay_scale"),
+              "lognormal": ("delay_log_mean", "delay_log_std")}
 ACTION_MODES = ("resample_each_round", "fixed_basis")
-DELAY_KINDS = ("geometric", "fixed", "empirical", "lognormal")
 POLICY_KINDS = ("otf_linucb", "otf_lints", "oracle_linucb", "random")
 WIDTH_MODES = ("exact", "cached")
+# config-file keys whose field has another name
+FILE_KEYS = {"lambda": "lam", "out": "output_path"}
+_FIELD_KEYS = {name: key for key, name in FILE_KEYS.items()}
 
 
 class ConfigError(ValueError):
@@ -74,7 +81,8 @@ class ExperimentConfig:
     ``__dict__``, so they travel with the pickled config to worker
     processes. ``dataclasses.replace`` builds, validates and resolves a
     new instance. ``build_delay()`` constructs a new distribution on
-    every call.
+    every call. The fields are in ``metadata.txt`` order, because
+    ``resolved_items`` walks them.
     """
 
     d: int = 5
@@ -100,8 +108,8 @@ class ExperimentConfig:
     width_scale: float = 0.2
     n_runs: int = 100
     base_seed: int = 0
-    output_path: str = "results"
     n_jobs: int = 1
+    output_path: str = "results"
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.K < 1 or self.T < 1 or self.n_runs < 1:
@@ -110,11 +118,11 @@ class ExperimentConfig:
             raise ConfigError("base_seed must be non-negative")
         if self.n_jobs < 1:
             raise ConfigError("n_jobs must be >= 1")
-        if self.theta not in THETA_KINDS:
+        if self.theta not in THETA_KEYS:
             raise ConfigError(f"unknown theta kind {self.theta!r}")
         if self.action_mode not in ACTION_MODES:
             raise ConfigError(f"unknown action mode {self.action_mode!r}")
-        if self.delay not in DELAY_KINDS:
+        if self.delay not in DELAY_KEYS:
             raise ConfigError(f"unknown delay kind {self.delay!r}")
         if self.action_mode == "fixed_basis" and self.K != self.d:
             raise ConfigError("fixed_basis mode requires K == d")
@@ -139,18 +147,21 @@ class ExperimentConfig:
             raise
         except (ValueError, OSError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
+        # last, so that a value the checks above reject keeps their message
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{_FIELD_KEYS.get(f.name, f.name)} must be finite, "
+                                  f"got {value}")
 
     def build_delay(self) -> DelayDistribution:
         """Construct the delay distribution; reads the file for ``empirical``."""
-        if self.delay == "geometric":
-            return GeometricDelay(self.delay_mean)
-        if self.delay == "fixed":
-            return FixedDelay(self.delay_value)
-        if self.delay == "empirical":
-            if self.delay_path is None:
-                raise ConfigError("empirical delay requires delay_path")
-            return load_empirical(self.delay_path, self.delay_scale)
-        return LognormalDelay(self.delay_log_mean, self.delay_log_std)
+        if self.delay == "empirical" and self.delay_path is None:
+            raise ConfigError("empirical delay requires delay_path")
+        # built per call, so a replaced module-level ``load_empirical`` is used
+        build = {"geometric": GeometricDelay, "fixed": FixedDelay,
+                 "empirical": load_empirical, "lognormal": LognormalDelay}[self.delay]
+        return build(*(getattr(self, key) for key in DELAY_KEYS[self.delay]))
 
     @cached_property
     def resolved_delay(self) -> DelayDistribution:
@@ -169,7 +180,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"theta_values has length {theta.size}, expected d={self.d}"
                 )
-            if np.linalg.norm(theta) > 1.0 + 1e-9:
+            if not np.linalg.norm(theta) <= 1.0 + 1e-9:
                 raise ConfigError("explicit theta must have L2 norm <= 1")
         else:
             # the hard-instance parameter intentionally escapes the unit ball
@@ -182,39 +193,31 @@ class ExperimentConfig:
     def resolved_window(self) -> int:
         if self.m is not None:
             return self.m
-        return recommended_window(self.resolved_delay)
+        try:
+            return recommended_window(self.resolved_delay)
+        except OverflowError as exc:
+            raise ConfigError(f"m = auto: twice the mean of the {self.delay} delay "
+                              f"overflows ({exc})") from exc
 
     @cached_property
     def tau_m(self) -> float:
         return self.resolved_delay.cdf(self.resolved_window)
 
     def resolved_items(self) -> list:
-        """Every resolved setting as (key, value) pairs for the metadata file."""
-        items = [
-            ("d", self.d), ("K", self.K), ("T", self.T),
-            ("theta", self.theta),
-        ]
-        if self.theta == "explicit":
-            items.append(("theta_values", ",".join(repr(v) for v in self.theta_values)))
-        if self.theta == "k_armed_hard":
-            items += [("hard_gap", self.hard_gap), ("hard_arm", self.hard_arm)]
-        items += [("action_mode", self.action_mode), ("delay", self.delay)]
-        if self.delay == "geometric":
-            items.append(("delay_mean", self.delay_mean))
-        elif self.delay == "fixed":
-            items.append(("delay_value", self.delay_value))
-        elif self.delay == "empirical":
-            items += [("delay_path", self.delay_path), ("delay_scale", self.delay_scale)]
-        else:
-            items += [("delay_log_mean", self.delay_log_mean),
-                      ("delay_log_std", self.delay_log_std)]
-        items += [
-            ("policy", self.policy), ("delta", self.delta), ("lambda", self.lam),
-            ("m", self.resolved_window), ("width_mode", self.width_mode),
-            ("width_scale", self.width_scale),
-            ("n_runs", self.n_runs), ("base_seed", self.base_seed),
-            ("n_jobs", self.n_jobs), ("out", self.output_path),
-        ]
+        """Every resolved setting as (key, value) pairs for the metadata file,
+        without the keys of the theta and delay kinds not configured."""
+        unused = {key for kind, keys in (*THETA_KEYS.items(), *DELAY_KEYS.items())
+                  if kind not in (self.theta, self.delay) for key in keys}
+        items = []
+        for f in fields(self):
+            if f.name in unused:
+                continue
+            value = getattr(self, f.name)
+            if f.name == "theta_values":
+                value = ",".join(repr(v) for v in value)
+            elif f.name == "m":
+                value = self.resolved_window
+            items.append((_FIELD_KEYS.get(f.name, f.name), value))
         return items
 
 
@@ -249,46 +252,39 @@ PRESETS: dict = {
               delay_log_std=1.2, m=2000),
 }
 
-_INT_KEYS = {"d", "K", "T", "hard_arm", "delay_value", "n_runs", "base_seed", "n_jobs"}
-_FLOAT_KEYS = {"hard_gap", "delay_mean", "delay_scale", "delay_log_mean",
-               "delay_log_std", "delta", "lambda", "width_scale"}
-_STR_KEYS = {"theta", "action_mode", "delay", "delay_path", "policy",
-             "width_mode", "out"}
+_FILE_FIELDS = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(ExperimentConfig)}
+# values whose parser is not the type of their field's default
+_PARSERS = {
+    "m": lambda raw: None if raw == "auto" else int(raw),
+    "theta_values": lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+    "delay_path": str,
+}
 
 
 def build_config(values: dict, preset: Optional[str] = None) -> ExperimentConfig:
     """Build one config from a flat key-to-value mapping and a preset name.
 
-    Values are parsed from their string form and unknown keys are
-    rejected. ``m`` accepts an integer or the literal ``auto`` (twice the
-    mean delay, rounded up). The preset's scenario keys replace the same
-    keys of ``values``; only the resulting config is validated.
+    Values are parsed from their string form by the type of their field's
+    default, and unknown keys are rejected. ``m`` accepts an integer or the
+    literal ``auto`` (twice the mean delay, rounded up). The preset's
+    scenario keys replace the same keys of ``values``; only the resulting
+    config is validated.
     """
-    fields: dict = {}
+    parsed: dict = {}
     for key, raw in values.items():
         raw = str(raw).strip()
+        field = _FILE_FIELDS.get(key)
+        if field is None:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                fields[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                fields["lam" if key == "lambda" else key] = float(raw)
-            elif key == "m":
-                fields[key] = None if raw == "auto" else int(raw)
-            elif key == "theta_values":
-                fields[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-            elif key in _STR_KEYS:
-                fields["output_path" if key == "out" else key] = raw
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+            parsed[field.name] = _PARSERS.get(field.name, type(field.default))(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (expected one of A, B, C, D)")
-        fields.update(PRESETS[preset])
-    return ExperimentConfig(**fields)
+        parsed.update(PRESETS[preset])
+    return ExperimentConfig(**parsed)
 
 
 def elliptical_potential_bound(d: int, lam: float, T: int) -> float:
@@ -344,8 +340,9 @@ def summarize(traces: list) -> SummaryStats:
 def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
     """Run ``n_runs`` independent episodes, serially or in worker processes."""
     indices = range(config.n_runs)
-    if config.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
+    workers = min(config.n_jobs, config.n_runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_episode_worker,
                                    [(config, i) for i in indices], chunksize=1))
     else:

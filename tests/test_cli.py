@@ -90,7 +90,19 @@ class TestRun:
         cfg.write_text("T = 10\ndelay = lognormal\ndelay_log_std = 40\nm = auto\n")
         argv = {"run": ["--out", str(tmp_path / "r")], "coverage": ["--reps", "2"]}
         assert main([command, "--config", str(cfg), *argv[command]]) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: m = auto: ")
+        assert "lognormal delay overflows" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_delay_scale_exits_1(self, tmp_path, capsys):
+        delays = tmp_path / "delays.txt"
+        delays.write_text("1\n3\n8\n")
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"T = 10\ndelay = empirical\ndelay_path = {delays}\n"
+                       f"delay_scale = nan\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert "config error: delay_scale must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["run", "coverage"])

@@ -51,6 +51,19 @@ class TestConfig:
         config = build_config({"lambda": "2.5"})
         assert config.lam == 2.5
 
+    @pytest.mark.parametrize("key", ["lam", "output_path"])
+    def test_field_names_of_renamed_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_config({key: "2"})
+
+    def test_values_parse_to_their_field_type(self):
+        config = build_config({"hard_arm": "3", "delay_mean": "7", "policy": "random",
+                               "out": "elsewhere"})
+        assert type(config.hard_arm) is int and config.hard_arm == 3
+        assert type(config.delay_mean) is float and config.delay_mean == 7.0
+        assert type(config.policy) is str and config.policy == "random"
+        assert config.output_path == "elsewhere"
+
     def test_auto_window_doubles_mean(self):
         config = build_config({"m": "auto", "delay": "geometric",
                                "delay_mean": "100"})
@@ -71,6 +84,8 @@ class TestConfig:
             build_config({"theta": "explicit", "theta_values": "0.9,0.9", "d": "2"})
 
     def test_policy_settings_rejected(self):
+        # keys that are only checked under another kind than the default
+        context = {"theta_values": {"theta": "explicit"}}
         for key, value, field, typed, match in [
             ("policy", "nope", "policy", "nope", "unknown policy kind"),
             ("delta", "0.0", "delta", 0.0, "delta must lie"),
@@ -79,11 +94,18 @@ class TestConfig:
             ("m", "-1", "m", -1, "window m"),
             ("width_mode", "fast", "width_mode", "fast", "unknown width mode"),
             ("width_scale", "-0.1", "width_scale", -0.1, "width_scale must be >= 0"),
+            ("width_scale", "nan", "width_scale", math.nan, "width_scale must be finite"),
+            ("lambda", "inf", "lam", math.inf, "lambda must be finite"),
+            ("delay_scale", "nan", "delay_scale", math.nan, "delay_scale must be finite"),
+            ("delay_scale", "inf", "delay_scale", math.inf, "delay_scale must be finite"),
+            ("theta_values", "nan,0,0,0,0", "theta_values", (math.nan, 0.0, 0.0, 0.0, 0.0),
+             "L2 norm"),
         ]:
+            extra = context.get(key, {})
             with pytest.raises(ConfigError, match=match):
-                build_config({key: value})
+                build_config({**extra, key: value})
             with pytest.raises(ConfigError, match=match):
-                replace(ExperimentConfig(), **{field: typed})
+                replace(ExperimentConfig(), **extra, **{field: typed})
 
     def test_construction_validates(self):
         with pytest.raises(ConfigError, match="d, K, T and n_runs"):
@@ -93,7 +115,7 @@ class TestConfig:
 
     def test_overflowing_auto_window_rejected_at_build(self):
         # the lognormal mean exp(7 + 40^2 / 2) overflows a float
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="m = auto: .* lognormal delay overflows"):
             build_config({"delay": "lognormal", "delay_log_std": "40", "m": "auto"})
 
     def test_preset_replaces_only_scenario_keys(self):
@@ -132,6 +154,25 @@ class TestConfig:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             build_config({}, "Z")
+
+    @pytest.mark.parametrize("theta", ["uniform_unit", "explicit", "k_armed_hard"])
+    @pytest.mark.parametrize("delay", ["geometric", "fixed", "empirical", "lognormal"])
+    def test_resolved_items_list_only_the_configured_kinds(self, tmp_path, theta, delay):
+        path = tmp_path / "delays.txt"
+        path.write_text("2\n4\n")
+        theta_keys = {"uniform_unit": [], "explicit": ["theta_values"],
+                      "k_armed_hard": ["hard_gap", "hard_arm"]}[theta]
+        delay_keys = {"geometric": ["delay_mean"], "fixed": ["delay_value"],
+                      "empirical": ["delay_path", "delay_scale"],
+                      "lognormal": ["delay_log_mean", "delay_log_std"]}[delay]
+        config = ExperimentConfig(d=4, K=4, T=10, theta=theta, theta_values=(0.5,) * 4,
+                                  action_mode="fixed_basis", delay=delay,
+                                  delay_path=str(path))
+        assert [k for k, _ in config.resolved_items()] == [
+            "d", "K", "T", "theta", *theta_keys, "action_mode", "delay", *delay_keys,
+            "policy", "delta", "lambda", "m", "width_mode", "width_scale",
+            "n_runs", "base_seed", "n_jobs", "out",
+        ]
 
     def test_resolved_items_cover_policy_settings(self):
         keys = [k for k, _ in TINY.resolved_items()]
@@ -286,6 +327,22 @@ class TestRunBatch:
             assert np.array_equal(a.cum_regret, b.cum_regret)
         assert np.array_equal(serial_stats.mean, par_stats.mean)
         assert np.array_equal(serial_stats.std, par_stats.std)
+
+    @pytest.mark.parametrize("n_runs, workers", [(1, []), (2, [2])])
+    def test_workers_capped_at_run_count(self, monkeypatch, n_runs, workers):
+        started = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        config = replace(TINY, n_runs=n_runs)
+        traces, _ = run_batch(replace(config, n_jobs=4))
+        assert started == workers
+        for a, b in zip(traces, run_batch(config)[0], strict=True):
+            assert np.array_equal(a.cum_regret, b.cum_regret)
 
     def test_summary_is_order_independent(self):
         traces, stats = run_batch(TINY)
