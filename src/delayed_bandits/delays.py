@@ -120,8 +120,8 @@ class EmpiricalDelay(DelayDistribution):
     _values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, samples):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         raw = np.asarray(samples, dtype=float)
         if raw.size == 0:
             raise ValueError("empty delay sample set")

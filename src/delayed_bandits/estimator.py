@@ -12,8 +12,6 @@ flight.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bounds import exploration_radius_at
@@ -40,10 +38,11 @@ class WindowedEstimator:
     The window is a ring of the last ``min(m + 1, t - 1)`` rounds, so a
     conversion revealed at the end of round ``t`` credits any of rounds
     ``t - m .. t``: every delay of at most ``m``. Round ``r`` lives in row
-    ``(r - 1) % (m + 1)`` of the action, cached-norm and converted arrays.
-    Those are allocated once and indexed by that row count; ``m`` is not
-    meant to change afterwards. The width penalty covers only the newest
-    ``m`` rounds of the ring, whose conversions may still arrive.
+    ``(r - 1) % (m + 1)`` of the action and converted arrays. Those are
+    allocated once and indexed by that row count; ``m`` is not meant to
+    change afterwards. The width penalty covers only the newest ``m``
+    rounds of the ring, whose conversions may still arrive, and is measured
+    under the current inverse design matrix.
     """
 
     def __init__(self, d: int, lam: float, m: int):
@@ -63,24 +62,16 @@ class WindowedEstimator:
         self.potential = 0.0
         self._rows = self.m + 1
         self._actions = np.empty((self._rows, d))
-        self._norms = np.empty(self._rows)
         self._converted = np.zeros(self._rows, dtype=bool)
         self._size = 0  # rounds in the ring
         self._eye = np.eye(d)
-        # running window norm sum, re-fsummed every 512 actions to kill drift
-        self._cached_sum = 0.0
 
     @property
     def num_actions(self) -> int:
         return self.t - 1
 
     def record_action(self, a: np.ndarray) -> None:
-        """Fold one played action into the design matrix and the window.
-
-        The cached norm stored with the window entry is measured in the
-        post-update inverse metric, which upper-bounds the same action's
-        norm under every later design matrix.
-        """
+        """Fold one played action into the design matrix and the window."""
         a = np.asarray(a, dtype=float)
         if a.shape != (self.d,):
             raise ValueError(f"action shape {a.shape} does not match d={self.d}")
@@ -95,19 +86,11 @@ class WindowedEstimator:
         self.V_inv -= np.outer(u, u) / (1.0 + sq)
         if self.t % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
             self._reinvert()
-        cached = math.sqrt(max(float(a @ self.V_inv @ a), 0.0))
         slot = (self.t - 1) % self._rows
         self._actions[slot] = a
-        self._norms[slot] = cached
         self._converted[slot] = False
-        self._cached_sum += cached
-        if self._size >= self.m:
-            # round t - m leaves the penalty (round t itself when m = 0)
-            self._cached_sum -= float(self._norms[(self.t - 1 - self.m) % self._rows])
         self._size = min(self._size + 1, self.m + 1)
         self.t += 1
-        if self.num_actions % 512 == 0:
-            self._cached_sum = math.fsum(self.window_cached_norms())
 
     def record_conversion(self, round_index: int) -> None:
         """Credit a revealed conversion to its action, if still in the window.
@@ -129,41 +112,25 @@ class WindowedEstimator:
         """Self-normalized deviation width at the current action count."""
         return exploration_radius_at(self.num_actions, self.d, self.lam, delta)
 
-    def window_norm_sum(self, mode: str = "cached") -> float:
-        """Sum of window action norms: cached (per-round metric) or exact.
+    def window_norm_sum(self) -> float:
+        """Sum of the penalty rounds' action norms under the current inverse
+        design matrix: one product of the ring with ``V_inv`` per call."""
+        if self._size == 0:
+            return 0.0
+        q = self.sq_norms(self._actions[:self._size])
+        norms = np.sqrt(np.maximum(q, 0.0))
+        if self._size > self.m:  # the oldest ring round is past the penalty
+            norms[(self.t - 1 - self._size) % self._rows] = 0.0
+        return float(norms.sum())
 
-        The cached sum never undershoots the exact one because the design
-        matrix only grows.
-        """
-        if mode == "cached":
-            return max(self._cached_sum, 0.0)
-        if mode == "exact":
-            if self._size == 0:
-                return 0.0
-            q = self.sq_norms(self._actions[:self._size])
-            norms = np.sqrt(np.maximum(q, 0.0))
-            if self._size > self.m:  # the oldest ring round is past the penalty
-                norms[(self.t - 1 - self._size) % self._rows] = 0.0
-            return float(norms.sum())
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def confidence_width(self, delta: float, mode: str = "cached") -> float:
+    def confidence_width(self, delta: float) -> float:
         """Full confidence-ellipsoid radius: twice the exploration radius
         plus the window penalty for in-flight conversions."""
-        return 2.0 * self.exploration_radius(delta) + self.window_norm_sum(mode)
+        return 2.0 * self.exploration_radius(delta) + self.window_norm_sum()
 
     def sq_norms(self, A: np.ndarray) -> np.ndarray:
         """Squared inverse-design norms of the rows of ``A``, one BLAS matmul."""
         return np.einsum("ki,ki->k", A @ self.V_inv, A)
-
-    def window_rounds(self) -> list[int]:
-        """Rounds under the width penalty (the newest ``m``), oldest first."""
-        return list(range(self.t - min(self._size, self.m), self.t))
-
-    def window_cached_norms(self) -> list[float]:
-        """Cached norms of the penalty rounds, oldest first."""
-        slots = [(r - 1) % self._rows for r in self.window_rounds()]
-        return self._norms[slots].tolist()
 
     def _inverse_error(self) -> float:
         return float(np.abs(self.V @ self.V_inv - self._eye).max())

@@ -60,7 +60,6 @@ DELAY_KEYS = {"geometric": ("delay_mean",), "fixed": ("delay_value",),
               "lognormal": ("delay_log_mean", "delay_log_std")}
 ACTION_MODES = ("resample_each_round", "fixed_basis")
 POLICY_KINDS = ("otf_linucb", "otf_lints", "oracle_linucb", "random")
-WIDTH_MODES = ("exact", "cached")
 # config-file keys whose field has another name
 FILE_KEYS = {"lambda": "lam", "out": "output_path"}
 _FIELD_KEYS = {name: key for key, name in FILE_KEYS.items()}
@@ -104,7 +103,6 @@ class ExperimentConfig:
     delta: float = 0.05
     lam: float = 1.0
     m: Optional[int] = None
-    width_mode: str = "cached"
     width_scale: float = 0.2
     n_runs: int = 100
     base_seed: int = 0
@@ -136,10 +134,15 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
         if not self.lam > 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.width_mode not in WIDTH_MODES:
-            raise ConfigError(f"unknown width mode {self.width_mode!r}")
         if self.width_scale < 0:
             raise ConfigError(f"width_scale must be >= 0, got {self.width_scale}")
+        # after the checks above, so that a value they reject keeps their
+        # message, and before resolution, which computes with these values
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{_FIELD_KEYS.get(f.name, f.name)} must be finite, "
+                                  f"got {value}")
         try:  # resolve (and cache) the derived values
             self.tau_m  # resolves the delay and the window first
             self.resolve_theta
@@ -147,12 +150,6 @@ class ExperimentConfig:
             raise
         except (ValueError, OSError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
-        # last, so that a value the checks above reject keeps their message
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ConfigError(f"{_FIELD_KEYS.get(f.name, f.name)} must be finite, "
-                                  f"got {value}")
 
     def build_delay(self) -> DelayDistribution:
         """Construct the delay distribution; reads the file for ``empirical``."""
@@ -201,7 +198,12 @@ class ExperimentConfig:
 
     @cached_property
     def tau_m(self) -> float:
-        return self.resolved_delay.cdf(self.resolved_window)
+        delay, window = self.resolved_delay, self.resolved_window
+        try:
+            return delay.cdf(window)
+        except OverflowError as exc:
+            raise ConfigError(f"window m is too large for the {self.delay} delay's "
+                              f"capture probability ({exc})") from exc
 
     def resolved_items(self) -> list:
         """Every resolved setting as (key, value) pairs for the metadata file,
@@ -358,8 +360,9 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     fixed; each replication redraws rewards and delays only, then checks
     at every selection time that the windowed estimate deviates from the
     window-scaled true parameter (in the design-matrix norm) by no more
-    than the exact-mode confidence width. Coverage counts replications
-    where the check holds simultaneously for all rounds.
+    than the confidence width, the one OTFLinUCB selects with. Coverage
+    counts replications where the check holds simultaneously for all
+    rounds.
     """
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
@@ -388,7 +391,7 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
         for t in range(1, config.T + 1):
             err = est.estimate() - target
             lhs = math.sqrt(max(float(err @ est.V @ err), 0.0))
-            if lhs > est.confidence_width(config.delta, "exact"):
+            if lhs > est.confidence_width(config.delta):
                 ok = False
                 break
             a = actions[t - 1]

@@ -34,14 +34,16 @@ class LinearPolicy:
     """The three ridge-estimator policies, told apart by ``config.policy``.
 
     ``config`` is a validated ``ExperimentConfig``; the policy reads its
-    ``d``, ``policy``, ``delta``, ``lam``, ``resolved_window``,
-    ``width_mode`` and ``width_scale``.
+    ``d``, ``policy``, ``delta``, ``lam``, ``resolved_window`` and
+    ``width_scale``.
 
     * ``otf_linucb``: maximizes the optimistic index, estimated reward
       plus ``width_scale`` times the full confidence width times the
       action's norm. The width's window penalty covers conversions still
-      in flight from the last ``m`` rounds. ``width_scale`` rescales the
-      selection width only; coverage is stated for the unscaled width.
+      in flight from the last ``m`` rounds, with their norms under the
+      current inverse design matrix, so the width is the one ``coverage``
+      checks. ``width_scale`` rescales the selection width only; coverage
+      is stated for the unscaled width.
     * ``otf_lints``: randomized selection. Draws a parameter with
       ``sample_parameter`` and acts greedily on the draw.
     * ``oracle_linucb``: baseline fed the true reward of every round with
@@ -68,7 +70,7 @@ class LinearPolicy:
         still in flight.
         """
         est, cfg = self.est, self.config
-        infl = 1.0 + est.window_norm_sum(cfg.width_mode) / est.exploration_radius(cfg.delta)
+        infl = 1.0 + est.window_norm_sum() / est.exploration_radius(cfg.delta)
         try:
             root = np.linalg.cholesky(infl * est.V_inv)
         except np.linalg.LinAlgError as exc:
@@ -85,7 +87,7 @@ class LinearPolicy:
         if cfg.policy == "otf_lints":
             return int(np.argmax(A @ self.sample_parameter(rng)))
         if cfg.policy == "otf_linucb":
-            width = cfg.width_scale * est.confidence_width(cfg.delta, cfg.width_mode)
+            width = cfg.width_scale * est.confidence_width(cfg.delta)
         else:
             width = cfg.width_scale * est.exploration_radius(cfg.delta)
         scores = A @ est.estimate() + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))

@@ -65,8 +65,9 @@ class TestRun:
 
     def test_bad_config_key_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 1\n")
-        assert main(["run", "--config", str(cfg)]) == 1
+        for line in ("nonsense = 1\n", "width_mode = cached\n"):
+            cfg.write_text(line)
+            assert main(["run", "--config", str(cfg)]) == 1
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 1

@@ -1,6 +1,7 @@
 """Delay distribution behavior: sampling, CDFs, windows, file loading."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestEmpirical:
             EmpiricalDelay((3, -1))
         with pytest.raises(ValueError):
             EmpiricalDelay(())
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_scale(self, scale):
+        # a NaN scale once passed the check and floored to all-zero delays
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                EmpiricalDelay((1.0, 2.0), scale=scale)
 
     def test_keeps_only_the_floored_support(self):
         raw = tuple(np.random.default_rng(4).uniform(0, 50, size=1000).tolist())

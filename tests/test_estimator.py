@@ -33,9 +33,7 @@ class TestInit:
         est.record_action(E1)
         est.record_action(np.array([0.0, 1.0]))
         est.record_conversion(1)
-        assert est.window_rounds() == []
-        assert est.window_norm_sum("cached") == 0.0
-        assert est.window_norm_sum("exact") == 0.0
+        assert est.window_norm_sum() == 0.0
         assert np.array_equal(est.estimate(), np.zeros(2))
         est.record_conversion(2)
         assert np.array_equal(est.B, [0.0, 1.0])
@@ -65,18 +63,22 @@ class TestRecordAction:
         assert np.abs(est.V_inv - direct).max() < 1e-8
 
     def test_window_eviction_drops_old_rounds(self):
+        # the ring keeps rounds 2..4; the penalty covers rounds 3 and 4
         est = WindowedEstimator(d=2, lam=1.0, m=2)
         for _ in range(4):
             est.record_action(E1)
-        assert est.window_rounds() == [3, 4]
+        assert est.window_norm_sum() == pytest.approx(2 / math.sqrt(5), abs=1e-12)
+        est.record_conversion(1)
+        assert np.array_equal(est.B, [0.0, 0.0])
+        est.record_conversion(2)
+        assert np.array_equal(est.B, E1)
 
     def test_evicted_entries_leave_the_width(self):
         est = WindowedEstimator(d=2, lam=1.0, m=2)
         for _ in range(5):
             est.record_action(E1)
-        expected = math.fsum(est.window_cached_norms())
-        assert est.window_norm_sum("cached") == pytest.approx(expected, abs=1e-12)
-        assert len(est.window_cached_norms()) == 2
+        # two penalty rounds, each with norm 1 / sqrt(6) under V = diag(6, 1)
+        assert est.window_norm_sum() == pytest.approx(2 / math.sqrt(6), abs=1e-12)
 
     def test_dimension_mismatch(self):
         est = WindowedEstimator(d=3, lam=1.0, m=2)
@@ -87,14 +89,6 @@ class TestRecordAction:
         est = WindowedEstimator(d=2, lam=1.0, m=2)
         with pytest.raises(ValueError):
             est.record_action(np.array([1.0, 1.0]))
-
-    def test_running_cached_sum_stays_exact_over_long_streams(self):
-        rng = np.random.default_rng(8)
-        est = WindowedEstimator(d=3, lam=1.0, m=50)
-        for a in random_unit_ball_actions(rng, 2000, 3):
-            est.record_action(a)
-        recomputed = math.fsum(est.window_cached_norms())
-        assert est.window_norm_sum("cached") == pytest.approx(recomputed, rel=1e-12)
 
 
 class TestRecordConversion:
@@ -194,31 +188,14 @@ class TestConfidenceWidth:
     def test_empty_window_is_twice_the_radius(self):
         est = WindowedEstimator(d=4, lam=2.0, m=5)
         f = est.exploration_radius(0.1)
-        assert est.confidence_width(0.1, "exact") == pytest.approx(2 * f)
-        assert est.confidence_width(0.1, "cached") == pytest.approx(2 * f)
+        assert est.confidence_width(0.1) == pytest.approx(2 * f)
 
     def test_single_entry_exact_term(self):
         est = WindowedEstimator(d=2, lam=1.0, m=5)
         est.record_action(E1)
         f = est.exploration_radius(0.05)
         expected = 2 * f + 1 / math.sqrt(2)
-        assert est.confidence_width(0.05, "exact") == pytest.approx(expected, abs=1e-12)
-        # the freshly cached norm coincides with the exact one
-        assert est.confidence_width(0.05, "cached") == pytest.approx(expected, abs=1e-12)
-
-    def test_cached_dominates_exact(self):
-        rng = np.random.default_rng(17)
-        est = WindowedEstimator(d=3, lam=0.8, m=12)
-        for a in random_unit_ball_actions(rng, 300, 3):
-            est.record_action(a)
-            cached = est.window_norm_sum("cached")
-            exact = est.window_norm_sum("exact")
-            assert cached >= exact - 1e-9
-
-    def test_unknown_mode(self):
-        est = WindowedEstimator(d=2, lam=1.0, m=5)
-        with pytest.raises(ValueError):
-            est.confidence_width(0.05, "bogus")
+        assert est.confidence_width(0.05) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMahalanobisNorm:

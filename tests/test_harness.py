@@ -1,6 +1,7 @@
 """Harness: config handling, episodes, batches, coverage, CSV round-trips."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +41,9 @@ class TestConfig:
         build_config({})
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            build_config({"bogus": "1"})
+        for key, value in [("bogus", "1"), ("width_mode", "cached")]:
+            with pytest.raises(ConfigError, match="unknown config key"):
+                build_config({key: value})
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -92,7 +94,6 @@ class TestConfig:
             ("delta", "1.5", "delta", 1.5, "delta must lie"),
             ("lambda", "0.0", "lam", 0.0, "lambda must be positive"),
             ("m", "-1", "m", -1, "window m"),
-            ("width_mode", "fast", "width_mode", "fast", "unknown width mode"),
             ("width_scale", "-0.1", "width_scale", -0.1, "width_scale must be >= 0"),
             ("width_scale", "nan", "width_scale", math.nan, "width_scale must be finite"),
             ("lambda", "inf", "lam", math.inf, "lambda must be finite"),
@@ -117,6 +118,22 @@ class TestConfig:
         # the lognormal mean exp(7 + 40^2 / 2) overflows a float
         with pytest.raises(ConfigError, match="m = auto: .* lognormal delay overflows"):
             build_config({"delay": "lognormal", "delay_log_std": "40", "m": "auto"})
+
+    @pytest.mark.parametrize("delay", ["geometric", "lognormal"])
+    def test_oversized_window_rejected_at_build(self, delay):
+        # (1 - p) ** (m + 1) and log(m + 1) cannot convert m to a float
+        with pytest.raises(ConfigError, match="window m is too large"):
+            build_config({"delay": delay, "m": "1" + "0" * 400})
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_empirical_scale_rejected_before_loading(self, tmp_path, scale):
+        path = tmp_path / "d.txt"
+        path.write_text("2\n4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"delay_scale must be finite, got {scale}"):
+                build_config({"delay": "empirical", "delay_path": str(path),
+                              "delay_scale": scale})
 
     def test_preset_replaces_only_scenario_keys(self):
         config = build_config({"d": "3", "T": "40", "policy": "random",
@@ -170,14 +187,14 @@ class TestConfig:
                                   delay_path=str(path))
         assert [k for k, _ in config.resolved_items()] == [
             "d", "K", "T", "theta", *theta_keys, "action_mode", "delay", *delay_keys,
-            "policy", "delta", "lambda", "m", "width_mode", "width_scale",
+            "policy", "delta", "lambda", "m", "width_scale",
             "n_runs", "base_seed", "n_jobs", "out",
         ]
 
     def test_resolved_items_cover_policy_settings(self):
         keys = [k for k, _ in TINY.resolved_items()]
         for expected in ("d", "K", "T", "policy", "delta", "lambda", "m",
-                         "width_mode", "width_scale", "n_runs", "base_seed"):
+                         "width_scale", "n_runs", "base_seed"):
             assert expected in keys
 
 

@@ -15,7 +15,7 @@ E2 = np.array([0.0, 1.0])
 
 def contract_config(d, **kw):
     defaults = dict(d=d, policy="otf_linucb", delta=0.05, lam=1.0, m=10,
-                    width_mode="cached", width_scale=1.0)
+                    width_scale=1.0)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -55,7 +55,7 @@ class TestOTFLinUCB:
             idx = policy.select(aset, rng)
             # the optimistic index from a fresh solve against V
             est, A = policy.est, aset.actions
-            width = est.confidence_width(0.05, "cached")
+            width = est.confidence_width(0.05)
             norms = np.sqrt(np.einsum("ki,ki->k", A, np.linalg.solve(est.V, A.T).T))
             scores = A @ np.linalg.solve(est.V, est.B) + width * norms
             assert scores[idx] >= scores.max() - 1e-12 * max(1.0, np.abs(scores).max())
@@ -96,7 +96,7 @@ class TestOTFLinTS:
     @staticmethod
     def _target_cov(est):
         # the window's in-flight norms inflate the inverse design matrix
-        infl = 1.0 + est.window_norm_sum("cached") / est.exploration_radius(0.05)
+        infl = 1.0 + est.window_norm_sum() / est.exploration_radius(0.05)
         assert infl >= 1.0
         return infl * est.V_inv
 
@@ -121,7 +121,7 @@ class TestOTFLinTS:
     def test_sample_covariance_matches_target(self):
         policy = self._trained_policy()
         est = policy.est
-        assert est.window_norm_sum("cached") > 0.0  # the inflation is exercised
+        assert est.window_norm_sum() > 0.0  # the inflation is exercised
         draws = self._draws(policy, 7)
         target = self._target_cov(est)
         sample_cov = np.cov(draws.T)
