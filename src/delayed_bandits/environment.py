@@ -69,14 +69,18 @@ def generate_action_set(rng: np.random.Generator, d: int, K: int) -> ActionSet:
     """
     if d < 1 or K < 1:
         raise ValueError("d and K must be at least 1")
-    mat = rng.integers(0, 2, size=(K, d)).astype(float)
-    zero_rows = ~mat.any(axis=1)
+    # float bits: the ufuncs below then need no int-to-float cast buffers
+    bits = rng.integers(0, 2, size=(K, d)).astype(float)
+    counts = bits.sum(axis=1)
+    zero_rows = counts == 0
     while zero_rows.any():
-        mat[zero_rows] = rng.integers(0, 2, size=(int(zero_rows.sum()), d))
-        zero_rows = ~mat.any(axis=1)
-    # 0/1 rows: the sum is the exact squared norm, so this equals np.linalg.norm
-    mat /= np.sqrt(mat.sum(axis=1, keepdims=True))
-    return ActionSet._from_validated(mat)
+        redrawn = rng.integers(0, 2, size=(int(zero_rows.sum()), d))
+        bits[zero_rows] = redrawn
+        counts[zero_rows] = redrawn.sum(axis=1)
+        zero_rows = counts == 0
+    # 0/1 rows: the count of ones is the exact squared norm, so this equals
+    # dividing by np.linalg.norm
+    return ActionSet._from_validated(bits / np.sqrt(counts)[:, None])
 
 
 def make_hard_instance_pair(K: int, gap: float, arm: int) -> tuple[np.ndarray, np.ndarray]:

@@ -77,13 +77,15 @@ class WindowedEstimator:
             raise ValueError(f"action shape {a.shape} does not match d={self.d}")
         if a @ a > 1.0 + 1e-6:
             raise ValueError("action norm exceeds 1")
-        self.V += np.outer(a, a)
-        # rank-one inverse update; np.outer(u, u) is exactly symmetric, so
+        # a[:, None] * a is the product np.outer(a, a) forms, without its
+        # wrapper's reshaping passes
+        self.V += a[:, None] * a
+        # rank-one inverse update; u[:, None] * u is exactly symmetric, so
         # V_inv stays exactly symmetric without re-symmetrizing
         u = self.V_inv @ a
         sq = float(a @ u)
         self.potential += sq
-        self.V_inv -= np.outer(u, u) / (1.0 + sq)
+        self.V_inv -= u[:, None] * u / (1.0 + sq)
         if self.t % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
             self._reinvert()
         slot = (self.t - 1) % self._rows
@@ -133,7 +135,9 @@ class WindowedEstimator:
         return np.einsum("ki,ki->k", A @ self.V_inv, A)
 
     def _inverse_error(self) -> float:
-        return float(np.abs(self.V @ self.V_inv - self._eye).max())
+        residual = self.V @ self.V_inv
+        residual -= self._eye
+        return float(np.abs(residual, out=residual).max())
 
     def _reinvert(self) -> None:
         self.V_inv = np.linalg.inv(self.V)

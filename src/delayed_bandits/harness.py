@@ -12,6 +12,7 @@ estimator sums.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -19,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import exploration_radius_at
 from .delays import (
     DelayDistribution,
     FixedDelay,
@@ -128,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError("k_armed_hard theta requires fixed_basis mode")
         if self.m is not None and self.m < 0:
             raise ConfigError("window m must be >= 0")
+        if self.m is not None and self.m > sys.float_info.max:
+            raise ConfigError("window m is too large: it does not fit a float")
         if self.policy not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.policy!r}")
         if not (0.0 < self.delta <= 1.0):
@@ -196,14 +200,16 @@ class ExperimentConfig:
             raise ConfigError(f"m = auto: twice the mean of the {self.delay} delay "
                               f"overflows ({exc})") from exc
 
+    @property
+    def episode_window(self) -> int:
+        """The window of an episode's estimator. No round leaves a window as
+        long as the episode, so a longer one credits and penalizes the same
+        rounds with a larger ring."""
+        return min(self.resolved_window, self.T)
+
     @cached_property
     def tau_m(self) -> float:
-        delay, window = self.resolved_delay, self.resolved_window
-        try:
-            return delay.cdf(window)
-        except OverflowError as exc:
-            raise ConfigError(f"window m is too large for the {self.delay} delay's "
-                              f"capture probability ({exc})") from exc
+        return self.resolved_delay.cdf(self.resolved_window)
 
     def resolved_items(self) -> list:
         """Every resolved setting as (key, value) pairs for the metadata file,
@@ -362,13 +368,14 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     window-scaled true parameter (in the design-matrix norm) by no more
     than the confidence width, the one OTFLinUCB selects with. Coverage
     counts replications where the check holds simultaneously for all
-    rounds.
+    rounds. The width is twice the exploration radius plus a window
+    penalty that is never negative, so a deviation within twice the radius
+    passes without the penalty, which is computed only for one above it.
     """
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
     theta = config.resolve_theta
     delay = config.resolved_delay
-    m = config.resolved_window
     target = config.tau_m * theta
 
     seq_rng = np.random.default_rng(np.random.SeedSequence(config.base_seed))
@@ -382,16 +389,19 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     if means.min() < -1e-9 or means.max() > 1.0 + 1e-9:
         raise ConfigError("mean reward out of range [0, 1] for coverage sequence")
 
+    # twice the exploration radius after t - 1 actions, as the width has it
+    twice_radius = [2.0 * exploration_radius_at(n, config.d, config.lam, config.delta)
+                    for n in range(config.T)]
     hits = 0
     for rep in range(n_reps):
         rng = np.random.default_rng(np.random.SeedSequence(config.base_seed + 1 + rep))
-        est = WindowedEstimator(config.d, config.lam, m)
+        est = WindowedEstimator(config.d, config.lam, config.episode_window)
         reveal: dict[int, list[int]] = {}
         ok = True
         for t in range(1, config.T + 1):
             err = est.estimate() - target
             lhs = math.sqrt(max(float(err @ est.V @ err), 0.0))
-            if lhs > est.confidence_width(config.delta):
+            if lhs > twice_radius[t - 1] and lhs > est.confidence_width(config.delta):
                 ok = False
                 break
             a = actions[t - 1]

@@ -34,7 +34,7 @@ class LinearPolicy:
     """The three ridge-estimator policies, told apart by ``config.policy``.
 
     ``config`` is a validated ``ExperimentConfig``; the policy reads its
-    ``d``, ``policy``, ``delta``, ``lam``, ``resolved_window`` and
+    ``d``, ``policy``, ``delta``, ``lam``, ``episode_window`` and
     ``width_scale``.
 
     * ``otf_linucb``: maximizes the optimistic index, estimated reward
@@ -60,7 +60,7 @@ class LinearPolicy:
         self.config = config
         #: whether the harness should feed immediate uncensored rewards
         self.needs_uncensored_feedback = config.policy == "oracle_linucb"
-        self.est = WindowedEstimator(config.d, config.lam, config.resolved_window)
+        self.est = WindowedEstimator(config.d, config.lam, config.episode_window)
 
     def sample_parameter(self, rng: np.random.Generator) -> np.ndarray:
         """Draw from N(estimate, inflation * V_inv) through a Cholesky root.

@@ -96,6 +96,31 @@ class TestRun:
         assert "lognormal delay overflows" in err
         assert not (tmp_path / "r").exists()
 
+    def test_window_longer_than_the_episode_runs_like_m_equal_T(self, tmp_path, capsys):
+        # the estimator's ring has min(m, T) + 1 rows, not m + 1
+        base = "d = 3\nK = 4\nT = 5\ndelay = fixed\ndelay_value = 3\nn_runs = 2\n"
+        outs, printed = [], []
+        for m in ("100000000000", "5"):
+            cfg = tmp_path / f"m{m}.cfg"
+            cfg.write_text(base + f"m = {m}\n")
+            outs.append(tmp_path / f"r{m}")
+            assert main(["run", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+            capsys.readouterr()
+            assert main(["coverage", "--config", str(cfg), "--reps", "3"]) == 0
+            printed.append(capsys.readouterr().out)
+        for name in ("traces.csv", "summary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("command", ["run", "coverage"])
+    def test_window_beyond_a_float_exits_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("T = 5\ndelay = fixed\ndelay_value = 3\nm = 1" + "0" * 400 + "\n")
+        argv = {"run": ["--out", str(tmp_path / "r")], "coverage": ["--reps", "2"]}
+        assert main([command, "--config", str(cfg), *argv[command]]) == 1
+        assert capsys.readouterr().err.startswith("config error: window m is too large")
+        assert not (tmp_path / "r").exists()
+
     def test_non_finite_delay_scale_exits_1(self, tmp_path, capsys):
         delays = tmp_path / "delays.txt"
         delays.write_text("1\n3\n8\n")

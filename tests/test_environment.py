@@ -62,11 +62,13 @@ class TestGenerateActionSet:
         assert np.array_equal(a.actions, b.actions)
 
     def test_row_norms_equal_linalg_norm_bytes(self):
-        # reference: the same draws normalized by np.linalg.norm
+        # reference: the same draws normalized by np.linalg.norm; both leave
+        # their generator in the same state, so they consume the same draws
         for d in (1, 5, 50):
             for K in (1, 10, 100):
                 for seed in range(40):
-                    got = generate_action_set(np.random.default_rng(seed), d, K).actions
+                    gen = np.random.default_rng(seed)
+                    got = generate_action_set(gen, d, K).actions
                     rng = np.random.default_rng(seed)
                     mat = rng.integers(0, 2, size=(K, d)).astype(float)
                     zero_rows = ~mat.any(axis=1)
@@ -75,6 +77,7 @@ class TestGenerateActionSet:
                         zero_rows = ~mat.any(axis=1)
                     want = mat / np.linalg.norm(mat, axis=1, keepdims=True)
                     assert np.array_equal(got, want), (d, K, seed)
+                    assert gen.bit_generator.state == rng.bit_generator.state, (d, K, seed)
 
     def test_rejects_bad_sizes(self):
         rng = np.random.default_rng(0)

@@ -259,3 +259,21 @@ class TestNumericalInvariants:
                 est.record_action(a)
             bound = 2 * d * math.log((d + T) / d)
             assert est.potential <= bound + 1e-9
+
+    @pytest.mark.parametrize("d", [1, 5, 50])
+    def test_rank_one_terms_equal_np_outer_bytes(self, d):
+        # reference: the updates written with np.outer; 2100 actions cross
+        # the re-inversion after 1000 and 2000 updates
+        rng = np.random.default_rng(43 + d)
+        est = WindowedEstimator(d=d, lam=1.0, m=7)
+        V, V_inv = np.eye(d), np.eye(d)
+        for t, a in enumerate(random_unit_ball_actions(rng, 2100, d), start=1):
+            est.record_action(a)
+            V += np.outer(a, a)
+            u = V_inv @ a
+            V_inv -= np.outer(u, u) / (1.0 + float(a @ u))
+            if t % 1000 == 0 or np.abs(V @ V_inv - np.eye(d)).max() > 1e-8:
+                V_inv = np.linalg.inv(V)
+                V_inv = 0.5 * (V_inv + V_inv.T)
+        assert np.array_equal(est.V, V)
+        assert np.array_equal(est.V_inv, V_inv)

@@ -1,16 +1,18 @@
 """Harness: config handling, episodes, batches, coverage, CSV round-trips."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from delayed_bandits import harness
+from delayed_bandits import bounds, estimator, harness
 from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.delays import FixedDelay, GeometricDelay, LognormalDelay
-from delayed_bandits.environment import ActionSet, DelayedBanditEnv
+from delayed_bandits.environment import ActionSet, DelayedBanditEnv, generate_action_set
+from delayed_bandits.estimator import WindowedEstimator
 from delayed_bandits.policies import make_policy
 from delayed_bandits.harness import (
     PRESETS,
@@ -119,11 +121,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="m = auto: .* lognormal delay overflows"):
             build_config({"delay": "lognormal", "delay_log_std": "40", "m": "auto"})
 
-    @pytest.mark.parametrize("delay", ["geometric", "lognormal"])
-    def test_oversized_window_rejected_at_build(self, delay):
-        # (1 - p) ** (m + 1) and log(m + 1) cannot convert m to a float
+    @pytest.mark.parametrize("delay", ["geometric", "lognormal", "fixed", "empirical"])
+    def test_oversized_window_rejected_at_build(self, delay, tmp_path):
+        # an m that does not fit a float, whatever the delay's cdf does with it
+        path = tmp_path / "d.txt"
+        path.write_text("2\n4\n")
         with pytest.raises(ConfigError, match="window m is too large"):
-            build_config({"delay": delay, "m": "1" + "0" * 400})
+            build_config({"delay": delay, "delay_path": str(path), "m": "1" + "0" * 400})
+        assert build_config({"delay": delay, "delay_path": str(path),
+                             "m": str(int(sys.float_info.max))}).tau_m == 1.0
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_non_finite_empirical_scale_rejected_before_loading(self, tmp_path, scale):
@@ -472,6 +478,55 @@ class TestConcentrationCoverage:
     def test_rep_count_validated(self):
         with pytest.raises(ConfigError):
             concentration_coverage(TINY, 0)
+
+    def test_penalty_decided_checks_match_a_full_width_loop(self, monkeypatch):
+        # a tenth of the radius leaves checks that only the window penalty
+        # passes, so the penalty is computed and decides some of them
+        def small(n, d, lam, delta):
+            return 0.1 * bounds.exploration_radius_at(n, d, lam, delta)
+
+        monkeypatch.setattr(harness, "exploration_radius_at", small)
+        monkeypatch.setattr(estimator, "exploration_radius_at", small)
+        config = ExperimentConfig(d=2, K=4, T=150, delay="geometric", delay_mean=5.0,
+                                  m=3, base_seed=1)
+        want, penalty_decided = full_width_coverage(config, 20)
+        assert 0.0 < want < 1.0
+        assert penalty_decided > 0
+        assert concentration_coverage(config, 20) == want
+
+
+def full_width_coverage(config, n_reps):
+    """Coverage with the full width computed at every check, and the number of
+    passed checks whose deviation exceeded twice the exploration radius."""
+    theta, delay = config.resolve_theta, config.resolved_delay
+    target = config.tau_m * theta
+    seq_rng = np.random.default_rng(np.random.SeedSequence(config.base_seed))
+    actions = np.empty((config.T, config.d))
+    for i in range(config.T):
+        aset = generate_action_set(seq_rng, config.d, config.K)
+        actions[i] = aset.actions[int(seq_rng.integers(len(aset)))]
+    means = actions @ theta
+    hits = penalty_decided = 0
+    for rep in range(n_reps):
+        rng = np.random.default_rng(np.random.SeedSequence(config.base_seed + 1 + rep))
+        est = WindowedEstimator(config.d, config.lam, config.resolved_window)
+        reveal = {}
+        covered = True
+        for t, a in enumerate(actions, start=1):
+            err = est.estimate() - target
+            lhs = math.sqrt(max(float(err @ est.V @ err), 0.0))
+            width = est.confidence_width(config.delta)
+            if lhs > width:
+                covered = False
+                break
+            penalty_decided += lhs > 2.0 * est.exploration_radius(config.delta)
+            est.record_action(a)
+            if rng.random() < means[t - 1]:
+                reveal.setdefault(t + delay.sample(rng), []).append(t)
+            for s in reveal.pop(t, []):
+                est.record_conversion(s)
+        hits += covered
+    return hits / n_reps, penalty_decided
 
 
 def credited_and_revealed(delay, m, T, seed=0):

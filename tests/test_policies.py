@@ -247,3 +247,10 @@ def test_make_policy_kinds():
         config = contract_config(3, policy=kind, m=5)
         policy = make_policy(config)
         assert policy.select(ActionSet(np.eye(3)), np.random.default_rng(0)) in range(3)
+
+
+@pytest.mark.parametrize("m, rows", [(3, 4), (5, 6), (10**11, 6)])
+def test_window_ring_stops_at_the_horizon(m, rows):
+    # a window at least as long as the episode never evicts a round
+    policy = LinearPolicy(ExperimentConfig(d=3, K=3, T=5, m=m))
+    assert policy.est._actions.shape == (rows, 3)

@@ -238,3 +238,24 @@ def test_episode_potential_sums_pre_update_norms(seed, T, policy):
     want = pre_update_potential(np.array(played), config.lam)
     assert abs(player.est.potential - want) <= 1e-12 * want
     assert run_episode(config, 0).elliptical_potential == player.est.potential
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([0, 1, 7, 100]), T=st.integers(0, 400), seed=SEEDS,
+       delta=st.floats(0.01, 1.0))
+def test_twice_the_radius_decides_coverage_like_the_full_width(m, T, seed, delta):
+    # the penalty is never negative, so a deviation within twice the radius
+    # is within the full width, and testing 2r first never flips a verdict
+    rng = np.random.default_rng(seed)
+    est = WindowedEstimator(3, 1.0, m)
+    for t, a in enumerate(unit_ball_actions(rng, T, 3), start=1):
+        est.record_action(a)
+        for r in rng.integers(t - m - 2, t + 1, size=int(rng.integers(0, 3))):
+            est.record_conversion(int(r))
+    twice_radius = 2.0 * est.exploration_radius(delta)
+    width = est.confidence_width(delta)
+    assert width >= twice_radius
+    for lhs in (0.0, twice_radius, width, np.nextafter(twice_radius, math.inf),
+                np.nextafter(width, math.inf), np.nextafter(width, 0.0),
+                rng.uniform(0.0, 2.0 * width), math.nan, math.inf):
+        assert (lhs > twice_radius and lhs > width) == (lhs > width)
