@@ -87,14 +87,16 @@ def _cmd_run(args) -> int:
     io.emit_csv(traces, stats, out_dir)
     tau = config.tau_m
     if tau > 0.0:
+        # on the episode's window: one longer than T plays like m = T
         bound = bounds_mod.regret_upper_bound(config.T, config.d, config.lam,
                                               config.delta,
-                                              config.resolved_window, tau)
+                                              config.episode_window, tau)
     else:
         bound = float("inf")  # nothing converts inside the window
     items = config.resolved_items()
     items += [("tau_m", f"{tau:.17g}"),
-              ("regret_upper_bound", f"{bound:.17g}")]
+              ("regret_upper_bound", f"{bound:.17g}"),
+              ("rng_layout", harness.RNG_LAYOUT)]
     io.write_metadata(items, out_dir / "metadata.txt")
     final_mean = stats.mean[-1]
     print(f"wrote {out_dir}/traces.csv, summary.csv, metadata.txt")

@@ -28,13 +28,10 @@ __all__ = [
 class DelayDistribution:
     """Base interface: a sampler over {0, 1, 2, ...} with queryable CDF."""
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one delay. Deterministic given the generator state."""
-        raise NotImplementedError
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` delays as an int64 array (vectorized where possible)."""
-        return np.array([self.sample(rng) for _ in range(n)], dtype=np.int64)
+        """Draw ``n`` delays as an int64 array. Deterministic given the
+        generator state."""
+        raise NotImplementedError
 
     def cdf(self, m: int) -> float:
         """P(D <= m) for integer m >= 0."""
@@ -63,11 +60,8 @@ class GeometricDelay(DelayDistribution):
     def p(self) -> float:
         return 1.0 / (self.mean_delay + 1.0)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        # numpy's geometric counts trials to first success (support >= 1)
-        return int(rng.geometric(self.p)) - 1
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # numpy's geometric counts trials to first success (support >= 1)
         return rng.geometric(self.p, size=n).astype(np.int64) - 1
 
     def cdf(self, m: int) -> float:
@@ -91,9 +85,6 @@ class FixedDelay(DelayDistribution):
     def __post_init__(self):
         if self.value < 0 or self.value != int(self.value):
             raise ValueError(f"fixed delay must be a natural number, got {self.value}")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.value
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value, dtype=np.int64)
@@ -144,9 +135,6 @@ class EmpiricalDelay(DelayDistribution):
     def __hash__(self):
         return hash(self._values.tobytes())
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(self._values[rng.integers(self._values.size)])
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(self._values.size, size=n)
         return self._values[idx]
@@ -174,9 +162,6 @@ class LognormalDelay(DelayDistribution):
     def __post_init__(self):
         if self.log_std <= 0:
             raise ValueError(f"log_std must be positive, got {self.log_std}")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(math.floor(rng.lognormal(self.log_mean, self.log_std)))
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.floor(rng.lognormal(self.log_mean, self.log_std, size=n)).astype(np.int64)

@@ -10,6 +10,7 @@ so a missing signal never distinguishes "no conversion" from "not yet".
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,18 @@ __all__ = [
     "ActionSet",
     "ConversionEvent",
     "DelayedBanditEnv",
+    "action_block_rounds",
+    "action_sets",
     "generate_action_set",
     "make_hard_instance_pair",
+    "round_outcomes",
 ]
 
 _NORM_TOL = 1e-9
+#: most action entries (rounds x K x d) drawn in one block
+ACTION_BLOCK_ENTRIES = 16_384
+#: rounds of reward uniforms and of delays drawn in one block
+OUTCOME_BLOCK_ROUNDS = 1024
 
 
 @dataclass(frozen=True)
@@ -62,25 +70,67 @@ class ConversionEvent:
     round_index: int
 
 
-def generate_action_set(rng: np.random.Generator, d: int, K: int) -> ActionSet:
-    """K actions drawn uniformly from the nonzero binary vectors, normalized.
+def action_block_rounds(d: int, K: int) -> int:
+    """Rounds of action sets drawn per block: as many as fit in
+    ``ACTION_BLOCK_ENTRIES`` action entries, and at least one.
 
-    All-zero draws are rejected and redrawn, so every action has unit norm.
+    It depends on d and K only, never on the horizon, so an episode draws
+    the same blocks whatever its length.
     """
-    if d < 1 or K < 1:
-        raise ValueError("d and K must be at least 1")
-    # float bits: the ufuncs below then need no int-to-float cast buffers
-    bits = rng.integers(0, 2, size=(K, d)).astype(float)
+    return max(1, ACTION_BLOCK_ENTRIES // (K * d))
+
+
+def _random_bits(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
+    """A (rows, d) float array of 0/1 bits unpacked from the generator's bytes."""
+    raw = np.frombuffer(rng.bytes(-(-rows * d // 8)), dtype=np.uint8)
+    # float bits: generate_action_set's sums and division then need no
+    # int-to-float cast buffers
+    return np.unpackbits(raw, count=rows * d).reshape(rows, d).astype(float)
+
+
+def generate_action_set(rng: np.random.Generator, d: int, K: int, n: int) -> np.ndarray:
+    """``n`` rounds of K actions, an (n, K, d) block; each action is drawn
+    uniformly from the nonzero binary vectors and normalized.
+
+    The bits come from ``rng.bytes``, most significant bit first, row after
+    row. All-zero rows are redrawn, in row order, from further bytes until
+    none is left, so every action has unit norm.
+    """
+    if d < 1 or K < 1 or n < 1:
+        raise ValueError("d, K and n must be at least 1")
+    bits = _random_bits(rng, n * K, d)
     counts = bits.sum(axis=1)
-    zero_rows = counts == 0
-    while zero_rows.any():
-        redrawn = rng.integers(0, 2, size=(int(zero_rows.sum()), d))
+    zero_rows = np.flatnonzero(counts == 0)
+    while zero_rows.size:
+        redrawn = _random_bits(rng, zero_rows.size, d)
         bits[zero_rows] = redrawn
         counts[zero_rows] = redrawn.sum(axis=1)
-        zero_rows = counts == 0
+        zero_rows = zero_rows[counts[zero_rows] == 0]
     # 0/1 rows: the count of ones is the exact squared norm, so this equals
     # dividing by np.linalg.norm
-    return ActionSet._from_validated(bits / np.sqrt(counts)[:, None])
+    bits /= np.sqrt(counts)[:, None]
+    return bits.reshape(n, K, d)
+
+
+def action_sets(rng: np.random.Generator, d: int, K: int) -> Iterator[ActionSet]:
+    """Every round's action set, drawn ``action_block_rounds(d, K)`` rounds at
+    a time by ``generate_action_set``. Always whole blocks: a horizon that
+    ends inside one leaves the rest unused."""
+    n = action_block_rounds(d, K)
+    while True:
+        for actions in generate_action_set(rng, d, K, n):
+            yield ActionSet._from_validated(actions)
+
+
+def round_outcomes(delay_dist: DelayDistribution, reward_rng: np.random.Generator,
+                   delay_rng: np.random.Generator) -> Iterator[tuple[float, int]]:
+    """Every round's reward uniform and delay, each from its own generator,
+    drawn ``OUTCOME_BLOCK_ROUNDS`` rounds at a time. One delay is drawn per
+    round whether or not the round converts."""
+    while True:
+        uniforms = reward_rng.random(OUTCOME_BLOCK_ROUNDS).tolist()
+        delays = delay_dist.sample_n(delay_rng, OUTCOME_BLOCK_ROUNDS).tolist()
+        yield from zip(uniforms, delays)
 
 
 def make_hard_instance_pair(K: int, gap: float, arm: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,16 +157,17 @@ def make_hard_instance_pair(K: int, gap: float, arm: int) -> tuple[np.ndarray, n
 class DelayedBanditEnv:
     """One episode's environment state: true parameter, delays, pending queue.
 
-    Owns its random generator; one instance per episode, never shared.
+    Owns its two random generators, one for the reward uniforms and one for
+    the delays (see ``round_outcomes``); one instance per episode, never
+    shared.
     """
 
     def __init__(self, theta: np.ndarray, delay_dist: DelayDistribution,
-                 rng: np.random.Generator):
+                 reward_rng: np.random.Generator, delay_rng: np.random.Generator):
         self.theta = np.asarray(theta, dtype=float)
         if self.theta.ndim != 1:
             raise ValueError("theta must be a vector")
-        self.delay_dist = delay_dist
-        self.rng = rng
+        self._outcomes = round_outcomes(delay_dist, reward_rng, delay_rng)
         self.t = 1
         self.last_reward = 0
         # reveal round -> rounds whose positive outcome is revealed then
@@ -125,7 +176,7 @@ class DelayedBanditEnv:
     def step(self, chosen: int, action_set: ActionSet) -> list[ConversionEvent]:
         """Play one round; return the conversions revealed at its end.
 
-        Samples the chosen action's reward and delay, queues a positive
+        Takes the round's reward uniform and delay, queues a positive
         outcome for its reveal round, and returns every queued positive
         whose delay elapses this round (a zero delay reveals immediately).
         """
@@ -137,8 +188,8 @@ class DelayedBanditEnv:
             )
         t = self.t
         p = min(max(float(means[chosen]), 0.0), 1.0)
-        x = 1 if self.rng.random() < p else 0
-        d = self.delay_dist.sample(self.rng)
+        u, d = next(self._outcomes)
+        x = 1 if u < p else 0
         self.last_reward = x
         if x == 1:
             self._pending.setdefault(t + d, []).append(t)

@@ -1,9 +1,10 @@
 """Experiment runner: configs, presets, episodes, batches, coverage checks.
 
 A single episode wires one environment, one policy, and per-run random
-streams derived from ``base_seed + run_index``. Batches are share-nothing
-across replications and aggregate in run-id order, so serial and parallel
-execution produce identical results. ``ExperimentConfig`` is the one
+streams derived from ``base_seed + run_index``, one per source
+(``RNG_LAYOUT``). Batches are share-nothing across replications and
+aggregate in run-id order, so serial and parallel execution produce
+identical results. ``ExperimentConfig`` is the one
 configuration type: it is validated when it is built, policies read it
 directly, and an episode's elliptical potential is the one its policy's
 estimator sums.
@@ -11,12 +12,13 @@ estimator sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +35,9 @@ from .environment import (
     ActionSet,
     ConversionEvent,
     DelayedBanditEnv,
-    generate_action_set,
+    action_sets,
     make_hard_instance_pair,
+    round_outcomes,
 )
 from .estimator import WindowedEstimator
 from .policies import make_policy
@@ -45,6 +48,7 @@ __all__ = [
     "RegretTrace",
     "SummaryStats",
     "PRESETS",
+    "RNG_LAYOUT",
     "build_config",
     "run_episode",
     "run_batch",
@@ -300,24 +304,43 @@ def elliptical_potential_bound(d: int, lam: float, T: int) -> float:
     return 2.0 * d * math.log((d * lam + T) / (d * lam))
 
 
-def _episode_streams(base_seed: int, run_index: int):
-    ss = np.random.SeedSequence(base_seed + run_index)
-    env_ss, policy_ss = ss.spawn(2)
-    return np.random.default_rng(env_ss), np.random.default_rng(policy_ss)
+# The randomness layout, written to metadata.txt: one child stream per
+# source, spawned in the order of EpisodeStreams, and the environment's
+# block rules. Any change to either moves outputs, so it takes a new number.
+RNG_LAYOUT = 2
+
+
+class EpisodeStreams(NamedTuple):
+    """One generator per source of an episode's randomness."""
+
+    actions: np.random.Generator
+    rewards: np.random.Generator
+    delays: np.random.Generator
+    policy: np.random.Generator
+
+
+def _episode_streams(base_seed: int, run_index: int) -> EpisodeStreams:
+    children = np.random.SeedSequence(base_seed + run_index).spawn(len(EpisodeStreams._fields))
+    return EpisodeStreams(*(np.random.default_rng(child) for child in children))
+
+
+def _action_sets(config: ExperimentConfig, rng: np.random.Generator):
+    """Every round's action set: the standard basis, or drawn from ``rng``."""
+    if config.action_mode == "fixed_basis":
+        return itertools.repeat(ActionSet(np.eye(config.d)))
+    return action_sets(rng, config.d, config.K)
 
 
 def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     """Play one full episode; deterministic given (config, run_index)."""
-    env_rng, policy_rng = _episode_streams(config.base_seed, run_index)
-    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
+    streams = _episode_streams(config.base_seed, run_index)
+    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
+                           streams.rewards, streams.delays)
     policy = make_policy(config)
-    fixed_set = ActionSet(np.eye(config.d)) if config.action_mode == "fixed_basis" else None
     trace = np.empty(config.T)
     cum = 0.0
-    for t in range(1, config.T + 1):
-        aset = fixed_set if fixed_set is not None else generate_action_set(
-            env_rng, config.d, config.K)
-        idx = policy.select(aset, policy_rng)
+    for t, aset in zip(range(1, config.T + 1), _action_sets(config, streams.actions)):
+        idx = policy.select(aset, streams.policy)
         chosen = aset.actions[idx]
         events = env.step(idx, aset)
         if policy.needs_uncensored_feedback:
@@ -362,8 +385,10 @@ def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
 def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     """Fraction of replications whose estimate stays inside its ellipsoid.
 
-    One action sequence is drawn up front from ``base_seed`` and held
-    fixed; each replication redraws rewards and delays only, then checks
+    One action sequence is drawn up front and held fixed: the actions the
+    random policy plays in run 0 of ``base_seed``. Replication ``rep``
+    takes its rewards and delays from the streams of run ``rep`` of
+    ``base_seed + 1``, in the episodes' layout, then checks
     at every selection time that the windowed estimate deviates from the
     window-scaled true parameter (in the design-matrix norm) by no more
     than the confidence width, the one OTFLinUCB selects with. Coverage
@@ -378,13 +403,10 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
     delay = config.resolved_delay
     target = config.tau_m * theta
 
-    seq_rng = np.random.default_rng(np.random.SeedSequence(config.base_seed))
+    seq = _episode_streams(config.base_seed, 0)
     actions = np.empty((config.T, config.d))
-    fixed_set = ActionSet(np.eye(config.d)) if config.action_mode == "fixed_basis" else None
-    for t in range(config.T):
-        aset = fixed_set if fixed_set is not None else generate_action_set(
-            seq_rng, config.d, config.K)
-        actions[t] = aset.actions[int(seq_rng.integers(len(aset)))]
+    for t, aset in zip(range(config.T), _action_sets(config, seq.actions)):
+        actions[t] = aset.actions[int(seq.policy.integers(len(aset)))]
     means = actions @ theta
     if means.min() < -1e-9 or means.max() > 1.0 + 1e-9:
         raise ConfigError("mean reward out of range [0, 1] for coverage sequence")
@@ -394,11 +416,12 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
                     for n in range(config.T)]
     hits = 0
     for rep in range(n_reps):
-        rng = np.random.default_rng(np.random.SeedSequence(config.base_seed + 1 + rep))
+        streams = _episode_streams(config.base_seed + 1, rep)
+        outcomes = round_outcomes(delay, streams.rewards, streams.delays)
         est = WindowedEstimator(config.d, config.lam, config.episode_window)
         reveal: dict[int, list[int]] = {}
         ok = True
-        for t in range(1, config.T + 1):
+        for t, (u, d) in zip(range(1, config.T + 1), outcomes):
             err = est.estimate() - target
             lhs = math.sqrt(max(float(err @ est.V @ err), 0.0))
             if lhs > twice_radius[t - 1] and lhs > est.confidence_width(config.delta):
@@ -406,8 +429,8 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
                 break
             a = actions[t - 1]
             est.record_action(a)
-            if rng.random() < means[t - 1]:
-                reveal.setdefault(t + delay.sample(rng), []).append(t)
+            if u < means[t - 1]:
+                reveal.setdefault(t + d, []).append(t)
             for s in reveal.pop(t, []):
                 est.record_conversion(s)
         hits += ok

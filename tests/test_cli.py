@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delayed_bandits import harness
+from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.cli import main
 from delayed_bandits.io import read_traces_csv
 from delayed_bandits.policies import LinearPolicy
@@ -111,6 +112,25 @@ class TestRun:
         for name in ("traces.csv", "summary.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert printed[0] == printed[1]
+
+    def test_window_longer_than_the_episode_writes_the_m_equal_T_bound(self, tmp_path):
+        # the bound is evaluated on the episode's window, min(m, T)
+        base = "d = 3\nK = 4\nT = 5\ndelay = fixed\nn_runs = 1\n"
+        bounds = []
+        for m in ("5", "100000000000"):
+            cfg = tmp_path / f"m{m}.cfg"
+            cfg.write_text(base + f"m = {m}\n")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / m)]) == 0
+            meta = (tmp_path / m / "metadata.txt").read_text().splitlines()
+            bounds += [line for line in meta if line.startswith("regret_upper_bound = ")]
+        assert len(bounds) == 2 and bounds[0] == bounds[1]
+        want = regret_upper_bound(5, 3, 1.0, 0.05, 5, 1.0)
+        assert bounds[0] == f"regret_upper_bound = {want:.17g}"
+
+    def test_metadata_names_the_randomness_layout(self, tiny_config, tmp_path):
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r")]) == 0
+        meta = (tmp_path / "r" / "metadata.txt").read_text().splitlines()
+        assert meta[-1] == "rng_layout = 2"
 
     @pytest.mark.parametrize("command", ["run", "coverage"])
     def test_window_beyond_a_float_exits_1(self, tmp_path, capsys, command):

@@ -11,7 +11,9 @@ import pytest
 from delayed_bandits import bounds, estimator, harness
 from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.delays import FixedDelay, GeometricDelay, LognormalDelay
-from delayed_bandits.environment import ActionSet, DelayedBanditEnv, generate_action_set
+from delayed_bandits import environment
+from delayed_bandits.environment import (ActionSet, DelayedBanditEnv, action_sets,
+                                         round_outcomes)
 from delayed_bandits.estimator import WindowedEstimator
 from delayed_bandits.policies import make_policy
 from delayed_bandits.harness import (
@@ -274,19 +276,18 @@ class TestRunEpisode:
 
     def test_matches_manual_episode_loop(self):
         # independent accounting of the same seeded episode
-        from delayed_bandits.environment import (
-            ConversionEvent, DelayedBanditEnv, generate_action_set)
         from delayed_bandits.harness import _episode_streams
-        from delayed_bandits.policies import make_policy
 
         config = TINY
-        env_rng, policy_rng = _episode_streams(config.base_seed, 2)
-        env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
+        streams = _episode_streams(config.base_seed, 2)
+        env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
+                               streams.rewards, streams.delays)
         policy = make_policy(config)
+        sets = action_sets(streams.actions, config.d, config.K)
         total = 0.0
         for t in range(1, config.T + 1):
-            aset = generate_action_set(env_rng, config.d, config.K)
-            idx = policy.select(aset, policy_rng)
+            aset = next(sets)
+            idx = policy.select(aset, streams.policy)
             events = env.step(idx, aset)
             policy.observe(events, aset.actions[idx])
             values = aset.actions @ env.theta
@@ -488,7 +489,7 @@ class TestConcentrationCoverage:
         monkeypatch.setattr(harness, "exploration_radius_at", small)
         monkeypatch.setattr(estimator, "exploration_radius_at", small)
         config = ExperimentConfig(d=2, K=4, T=150, delay="geometric", delay_mean=5.0,
-                                  m=3, base_seed=1)
+                                  m=3, base_seed=3)
         want, penalty_decided = full_width_coverage(config, 20)
         assert 0.0 < want < 1.0
         assert penalty_decided > 0
@@ -500,19 +501,21 @@ def full_width_coverage(config, n_reps):
     passed checks whose deviation exceeded twice the exploration radius."""
     theta, delay = config.resolve_theta, config.resolved_delay
     target = config.tau_m * theta
-    seq_rng = np.random.default_rng(np.random.SeedSequence(config.base_seed))
+    seq = harness._episode_streams(config.base_seed, 0)
+    sets = action_sets(seq.actions, config.d, config.K)
     actions = np.empty((config.T, config.d))
     for i in range(config.T):
-        aset = generate_action_set(seq_rng, config.d, config.K)
-        actions[i] = aset.actions[int(seq_rng.integers(len(aset)))]
+        aset = next(sets)
+        actions[i] = aset.actions[int(seq.policy.integers(len(aset)))]
     means = actions @ theta
     hits = penalty_decided = 0
     for rep in range(n_reps):
-        rng = np.random.default_rng(np.random.SeedSequence(config.base_seed + 1 + rep))
+        streams = harness._episode_streams(config.base_seed + 1, rep)
+        outcomes = round_outcomes(delay, streams.rewards, streams.delays)
         est = WindowedEstimator(config.d, config.lam, config.resolved_window)
         reveal = {}
         covered = True
-        for t, a in enumerate(actions, start=1):
+        for (t, a), (u, d) in zip(enumerate(actions, start=1), outcomes):
             err = est.estimate() - target
             lhs = math.sqrt(max(float(err @ est.V @ err), 0.0))
             width = est.confidence_width(config.delta)
@@ -521,8 +524,8 @@ def full_width_coverage(config, n_reps):
                 break
             penalty_decided += lhs > 2.0 * est.exploration_radius(config.delta)
             est.record_action(a)
-            if rng.random() < means[t - 1]:
-                reveal.setdefault(t + delay.sample(rng), []).append(t)
+            if u < means[t - 1]:
+                reveal.setdefault(t + d, []).append(t)
             for s in reveal.pop(t, []):
                 est.record_conversion(s)
         hits += covered
@@ -533,7 +536,8 @@ def credited_and_revealed(delay, m, T, seed=0):
     """Play the only action e1 against theta = e1 (every round converts)
     through an OTFLinUCB policy, in the harness's observe order."""
     policy = make_policy(ExperimentConfig(d=1, K=1, m=m))
-    env = DelayedBanditEnv(np.ones(1), delay, np.random.default_rng(seed))
+    env = DelayedBanditEnv(np.ones(1), delay, np.random.default_rng(seed),
+                           np.random.default_rng(seed + 1))
     aset = ActionSet(np.eye(1))
     revealed = 0
     for _ in range(T):
@@ -574,3 +578,83 @@ def test_upper_bound_far_above_preset_regret():
     _, stats = run_batch(config)
     bound = regret_upper_bound(300, 5, 1.0, 0.05, 100, config.tau_m)
     assert stats.mean[-1] < bound
+
+
+class TestRandomnessLayout:
+    """Layout 2: one child stream per source, each drawn in blocks whose
+    length does not depend on the horizon."""
+
+    @pytest.mark.parametrize("name", ["A/otf_linucb", "A/otf_lints", "D", "empirical",
+                                      "fixed_basis"])
+    def test_longer_horizon_starts_with_the_shorter_episode(self, name, tmp_path):
+        path = tmp_path / "delays.txt"
+        path.write_text("\n".join(str(v) for v in (0, 3, 7, 7, 20, 45, 120, 400)) + "\n")
+        configs = {
+            "A/otf_linucb": build_config({"policy": "otf_linucb"}, "A"),
+            "A/otf_lints": build_config({"policy": "otf_lints"}, "A"),
+            "D": build_config({}, "D"),
+            "empirical": ExperimentConfig(delay="empirical", delay_path=str(path),
+                                          policy="otf_lints"),
+            "fixed_basis": ExperimentConfig(d=6, K=6, theta="k_armed_hard",
+                                            action_mode="fixed_basis", delay_mean=30.0,
+                                            m=60),
+        }
+        config = configs[name]
+        long = run_episode(replace(config, T=1500), 1).cum_regret
+        short = run_episode(replace(config, T=700), 1).cum_regret
+        assert long[:700].tobytes() == short.tobytes()
+
+    def test_environment_draws_do_not_depend_on_the_policy(self, monkeypatch):
+        seen = []
+        step, outcomes = DelayedBanditEnv.step, environment.round_outcomes
+
+        def recording_step(env, chosen, action_set):
+            seen[-1][0].append(action_set.actions.copy())
+            return step(env, chosen, action_set)
+
+        def recording_outcomes(*args):
+            for pair in outcomes(*args):
+                seen[-1][1].append(pair)
+                yield pair
+
+        monkeypatch.setattr(DelayedBanditEnv, "step", recording_step)
+        monkeypatch.setattr(environment, "round_outcomes", recording_outcomes)
+        # past a block of reward uniforms and delays, and past several
+        # blocks of action sets
+        config = ExperimentConfig(T=1100, delay_mean=20.0, m=40, base_seed=4)
+        for policy in ("otf_linucb", "otf_lints", "oracle_linucb", "random"):
+            seen.append(([], []))
+            run_episode(replace(config, policy=policy), 3)
+        sets, pairs = seen[0]
+        assert len(sets) == len(pairs) == config.T
+        for other_sets, other_pairs in seen[1:]:
+            assert np.array_equal(np.stack(other_sets), np.stack(sets))
+            assert other_pairs == pairs
+
+    def test_random_play_does_not_depend_on_the_delay(self, tmp_path):
+        # the action sets, the rewards and the random policy's picks each
+        # have their own stream, so only the delays move with the delay kind
+        path = tmp_path / "delays.txt"
+        path.write_text("1\n5\n9\n")
+        base = ExperimentConfig(T=1100, policy="random", m=10, base_seed=2)
+        traces = [run_episode(replace(base, delay=kind, delay_path=str(path)), 0)
+                  for kind in ("geometric", "fixed", "empirical", "lognormal")]
+        for trace in traces[1:]:
+            assert trace.cum_regret.tobytes() == traces[0].cum_regret.tobytes()
+
+    def test_coverage_plays_the_random_policy_s_first_run(self, monkeypatch):
+        played = []
+        record = WindowedEstimator.record_action
+
+        def recording(est, a):
+            played.append(np.array(a))
+            record(est, a)
+
+        config = ExperimentConfig(T=400, delay_mean=20.0, m=40, policy="random",
+                                  base_seed=6)
+        monkeypatch.setattr(WindowedEstimator, "record_action", recording)
+        concentration_coverage(config, 1)
+        coverage_actions = np.stack(played)
+        played.clear()
+        run_episode(config, 0)
+        assert np.array_equal(coverage_actions, np.stack(played))

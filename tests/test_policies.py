@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from delayed_bandits.environment import ActionSet, ConversionEvent, DelayedBanditEnv
+from delayed_bandits.environment import (ActionSet, ConversionEvent, DelayedBanditEnv,
+                                         action_sets)
 from delayed_bandits.delays import FixedDelay, GeometricDelay
-from delayed_bandits.harness import ExperimentConfig
+from delayed_bandits.harness import ExperimentConfig, _episode_streams
 from delayed_bandits.policies import LinearPolicy, RandomPolicy, make_policy
 
 E1 = np.array([1.0, 0.0])
@@ -164,7 +165,8 @@ class TestOracleLinUCB:
         otf = LinearPolicy(cfg_otf)
         oracle = LinearPolicy(cfg_oracle)
         theta = np.array([0.5, 0.3, 0.1])
-        env = DelayedBanditEnv(theta, FixedDelay(0), np.random.default_rng(9))
+        env = DelayedBanditEnv(theta, FixedDelay(0), np.random.default_rng(9),
+                               np.random.default_rng(11))
         rng = np.random.default_rng(10)
         for t in range(1, 301):
             raw = np.abs(rng.standard_normal((5, 3)))
@@ -222,17 +224,14 @@ class TestDeterminism:
         def play(seed):
             config = contract_config(3, policy=kind, m=15)
             policy = make_policy(config)
-            env_rng = np.random.default_rng(seed)
-            policy_rng = np.random.default_rng(seed + 1)
-            env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)),
-                                   GeometricDelay(10), env_rng)
+            streams = _episode_streams(seed, 0)
+            env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), GeometricDelay(10),
+                                   streams.rewards, streams.delays)
+            sets = action_sets(streams.actions, 3, 6)
             chosen_indices = []
             for t in range(1, 121):
-                raw = env_rng.integers(0, 2, size=(6, 3)).astype(float)
-                raw[~raw.any(axis=1)] = [1, 0, 0]
-                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-                aset = ActionSet(raw)
-                idx = policy.select(aset, policy_rng)
+                aset = next(sets)
+                idx = policy.select(aset, streams.policy)
                 events = env.step(idx, aset)
                 if policy.needs_uncensored_feedback:
                     events = [ConversionEvent(t)] if env.last_reward else []

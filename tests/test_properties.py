@@ -1,15 +1,16 @@
-"""Property tests: BLAS norms, the ring window and the estimate against plain
-references."""
+"""Property tests: BLAS norms, the ring window, the estimate and the action
+blocks against plain references."""
 
 import math
 from collections import deque
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayed_bandits.environment import (
-    ActionSet, ConversionEvent, DelayedBanditEnv, generate_action_set)
+    ACTION_BLOCK_ENTRIES, ActionSet, ConversionEvent, DelayedBanditEnv, action_block_rounds,
+    action_sets, generate_action_set)
 from delayed_bandits.estimator import WindowedEstimator
 from delayed_bandits.harness import ExperimentConfig, _episode_streams, run_episode
 from delayed_bandits.policies import LinearPolicy, make_policy
@@ -156,7 +157,7 @@ def test_sq_norms_match_einsum(d, K, seed):
 
 def random_state(policy, rng, d, n_actions):
     for t in range(1, n_actions + 1):
-        a = generate_action_set(rng, d, 1).actions[0]
+        a = generate_action_set(rng, d, 1, 1)[0, 0]
         policy.observe([], a)
         for r in rng.integers(max(1, t - 120), t + 1, size=int(rng.integers(0, 2))):
             policy.est.record_conversion(int(r))
@@ -170,7 +171,7 @@ def test_ucb_pick_attains_einsum_maximum(seed, n_actions):
     config = ExperimentConfig(d=d, K=K, policy="otf_linucb", m=100, width_scale=0.2)
     policy = LinearPolicy(config)
     random_state(policy, rng, d, n_actions)
-    aset = generate_action_set(rng, d, K)
+    aset = ActionSet(generate_action_set(rng, d, K, 1)[0])
     A, est = aset.actions, policy.est
     width = config.width_scale * est.confidence_width(config.delta)
     scores = A @ est.estimate() + width * np.sqrt(einsum_sq_norms(A, est.V_inv))
@@ -223,13 +224,15 @@ def test_potential_sums_pre_update_norms(seed, d, lam, m, T):
 def test_episode_potential_sums_pre_update_norms(seed, T, policy):
     config = ExperimentConfig(d=3, K=4, T=T, delay_mean=5.0, m=10, policy=policy,
                               base_seed=seed)
-    env_rng, policy_rng = _episode_streams(config.base_seed, 0)
-    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, env_rng)
+    streams = _episode_streams(config.base_seed, 0)
+    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
+                           streams.rewards, streams.delays)
     player = make_policy(config)
+    sets = action_sets(streams.actions, config.d, config.K)
     played = []
     for t in range(1, T + 1):
-        aset = generate_action_set(env_rng, config.d, config.K)
-        idx = player.select(aset, policy_rng)
+        aset = next(sets)
+        idx = player.select(aset, streams.policy)
         events = env.step(idx, aset)
         if player.needs_uncensored_feedback:
             events = [ConversionEvent(t)] if env.last_reward else []
@@ -259,3 +262,21 @@ def test_twice_the_radius_decides_coverage_like_the_full_width(m, T, seed, delta
                 np.nextafter(width, math.inf), np.nextafter(width, 0.0),
                 rng.uniform(0.0, 2.0 * width), math.nan, math.inf):
         assert (lhs > twice_radius and lhs > width) == (lhs > width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 200), K=st.integers(1, 200), seed=SEEDS)
+@example(d=1, K=1, seed=0)
+@example(d=1, K=200, seed=1)
+def test_action_blocks_hold_normalized_nonzero_binary_rows(d, K, seed):
+    # d = 1 redraws about half of every block's rows
+    n = action_block_rounds(d, K)
+    assert n >= 1 and (n * K * d <= ACTION_BLOCK_ENTRIES or n == 1)
+    block = generate_action_set(np.random.default_rng(seed), d, K, n)
+    assert block.shape == (n, K, d)
+    rows = block.reshape(n * K, d)
+    ones = np.count_nonzero(rows, axis=1)
+    assert np.all(ones >= 1)
+    # each row is 1/sqrt(k) on k coordinates and 0 elsewhere
+    assert np.all((rows == 0) | (rows == 1.0 / np.sqrt(ones)[:, None]))
+    assert np.all(np.abs(np.sum(rows * rows, axis=1) - 1.0) <= 1e-12)
