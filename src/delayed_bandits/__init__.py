@@ -3,10 +3,11 @@
 Building blocks: delay distributions (:mod:`~delayed_bandits.delays`), the
 interaction environment (:mod:`~delayed_bandits.environment`), the windowed
 delayed least-squares estimator (:mod:`~delayed_bandits.estimator`), one
-linear policy class running OTFLinUCB, OTFLinTS and the undelayed LinUCB
-oracle, plus a uniform-random baseline (:mod:`~delayed_bandits.policies`),
-bound evaluators (:mod:`~delayed_bandits.bounds`), and the experiment harness
-plus CLI (:mod:`~delayed_bandits.harness`, :mod:`~delayed_bandits.cli`).
+linear policy class running OTFLinUCB and OTFLinTS, plus a uniform-random
+baseline (:mod:`~delayed_bandits.policies`), bound evaluators
+(:mod:`~delayed_bandits.bounds`), and the experiment harness plus CLI
+(:mod:`~delayed_bandits.harness`, :mod:`~delayed_bandits.cli`). The undelayed
+LinUCB oracle is OTFLinUCB under the config values ``harness.ORACLE``.
 """
 
 from .bounds import (
@@ -29,7 +30,7 @@ from .environment import (
     ConversionEvent,
     DelayedBanditEnv,
     generate_action_set,
-    make_hard_instance_pair,
+    make_hard_instance,
 )
 from .estimator import WindowedEstimator
 from .harness import (
@@ -74,7 +75,7 @@ __all__ = [
     "emit_csv",
     "generate_action_set",
     "load_empirical",
-    "make_hard_instance_pair",
+    "make_hard_instance",
     "make_policy",
     "minimax_lower_bound",
     "read_config_file",

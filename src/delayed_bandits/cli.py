@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--preset", choices=sorted(harness.PRESETS),
                      help="scenario preset (overrides scenario keys)")
-    run.add_argument("--policy", choices=[*harness.POLICY_KINDS, "oracle"])
+    run.add_argument("--policy", choices=[*harness.POLICY_KINDS, "oracle_linucb", "oracle"],
+                     help="oracle_linucb (alias oracle) runs otf_linucb undelayed")
     run.add_argument("--runs", dest="n_runs", type=int, help="number of replications")
     run.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     run.add_argument("--out", help="output directory")

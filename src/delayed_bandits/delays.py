@@ -102,8 +102,7 @@ class EmpiricalDelay(DelayDistribution):
 
     Raw samples are multiplied by ``scale`` and floored to integers at
     construction; only the floored values are kept. They are the support,
-    the CDF and mean are exact with respect to it, and two pools are equal
-    iff their supports are.
+    and the CDF and mean are exact with respect to it.
     """
 
     samples: InitVar[tuple]
@@ -121,19 +120,6 @@ class EmpiricalDelay(DelayDistribution):
         values = np.floor(self.scale * raw).astype(np.int64)
         values = np.maximum(values, 0)
         object.__setattr__(self, "_values", values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The scaled, floored integer support (one entry per sample)."""
-        return self._values.copy()
-
-    def __eq__(self, other):
-        if not isinstance(other, EmpiricalDelay):
-            return NotImplemented
-        return np.array_equal(self._values, other._values)
-
-    def __hash__(self):
-        return hash(self._values.tobytes())
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(self._values.size, size=n)

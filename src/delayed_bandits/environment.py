@@ -24,7 +24,7 @@ __all__ = [
     "action_block_rounds",
     "action_sets",
     "generate_action_set",
-    "make_hard_instance_pair",
+    "make_hard_instance",
     "round_outcomes",
 ]
 
@@ -133,25 +133,19 @@ def round_outcomes(delay_dist: DelayDistribution, reward_rng: np.random.Generato
         yield from zip(uniforms, delays)
 
 
-def make_hard_instance_pair(K: int, gap: float, arm: int) -> tuple[np.ndarray, np.ndarray]:
-    """Twin K-armed Bernoulli parameter vectors differing in one arm.
+def make_hard_instance(K: int, gap: float) -> np.ndarray:
+    """K-armed Bernoulli parameter vector where arm 1 has an edge of ``gap``.
 
-    The first vector gives arm 1 an edge of ``gap`` over the rest; the
-    second is identical except arm ``arm`` (1-based, >= 2) is raised to
-    1/2 + 2*gap, making it the best arm instead. Intended for use with the
-    fixed standard-basis action set.
+    Every other arm has mean 1/2. Intended for use with the fixed
+    standard-basis action set.
     """
     if K < 2:
         raise ValueError("hard instance needs K >= 2 arms")
     if not (0.0 < gap < 0.25):
         raise ValueError(f"gap must lie in (0, 1/4), got {gap}")
-    if not (2 <= arm <= K):
-        raise ValueError(f"arm must lie in [2, K], got {arm}")
     theta = np.full(K, 0.5)
     theta[0] = 0.5 + gap
-    phi = theta.copy()
-    phi[arm - 1] = 0.5 + 2.0 * gap
-    return theta, phi
+    return theta
 
 
 class DelayedBanditEnv:
@@ -169,7 +163,6 @@ class DelayedBanditEnv:
             raise ValueError("theta must be a vector")
         self._outcomes = round_outcomes(delay_dist, reward_rng, delay_rng)
         self.t = 1
-        self.last_reward = 0
         # reveal round -> rounds whose positive outcome is revealed then
         self._pending: dict[int, list[int]] = {}
 
@@ -189,9 +182,7 @@ class DelayedBanditEnv:
         t = self.t
         p = min(max(float(means[chosen]), 0.0), 1.0)
         u, d = next(self._outcomes)
-        x = 1 if u < p else 0
-        self.last_reward = x
-        if x == 1:
+        if u < p:
             self._pending.setdefault(t + d, []).append(t)
         self.t = t + 1
         # each reveal list was appended in increasing round order

@@ -33,10 +33,9 @@ from .delays import (
 )
 from .environment import (
     ActionSet,
-    ConversionEvent,
     DelayedBanditEnv,
     action_sets,
-    make_hard_instance_pair,
+    make_hard_instance,
     round_outcomes,
 )
 from .estimator import WindowedEstimator
@@ -47,6 +46,7 @@ __all__ = [
     "ExperimentConfig",
     "RegretTrace",
     "SummaryStats",
+    "ORACLE",
     "PRESETS",
     "RNG_LAYOUT",
     "build_config",
@@ -60,12 +60,12 @@ __all__ = [
 # each kind's own keys, in metadata order; a delay kind's keys are also the
 # positional arguments of its constructor
 THETA_KEYS = {"uniform_unit": (), "explicit": ("theta_values",),
-              "k_armed_hard": ("hard_gap", "hard_arm")}
+              "k_armed_hard": ("hard_gap",)}
 DELAY_KEYS = {"geometric": ("delay_mean",), "fixed": ("delay_value",),
               "empirical": ("delay_path", "delay_scale"),
               "lognormal": ("delay_log_mean", "delay_log_std")}
 ACTION_MODES = ("resample_each_round", "fixed_basis")
-POLICY_KINDS = ("otf_linucb", "otf_lints", "oracle_linucb", "random")
+POLICY_KINDS = ("otf_linucb", "otf_lints", "random")
 # config-file keys whose field has another name
 FILE_KEYS = {"lambda": "lam", "out": "output_path"}
 _FIELD_KEYS = {name: key for key, name in FILE_KEYS.items()}
@@ -96,7 +96,6 @@ class ExperimentConfig:
     theta: str = "uniform_unit"
     theta_values: Optional[tuple] = None
     hard_gap: float = 0.1
-    hard_arm: int = 2
     action_mode: str = "resample_each_round"
     delay: str = "geometric"
     delay_mean: float = 100.0
@@ -190,7 +189,7 @@ class ExperimentConfig:
         else:
             # the hard-instance parameter intentionally escapes the unit ball
             # for larger K; only per-action means must stay in [0, 1]
-            theta, _ = make_hard_instance_pair(self.K, self.hard_gap, self.hard_arm)
+            theta = make_hard_instance(self.K, self.hard_gap)
         theta.flags.writeable = False
         return theta
 
@@ -264,6 +263,11 @@ PRESETS: dict = {
               delay_log_std=1.2, m=2000),
 }
 
+# The undelayed LinUCB oracle: OTFLinUCB on an environment without delay,
+# where the window penalty is zero and every reward is credited when drawn.
+# ``build_config`` applies it after the preset for ``policy = oracle_linucb``.
+ORACLE: dict = dict(policy="otf_linucb", delay="fixed", delay_value=0, m=0)
+
 _FILE_FIELDS = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 # values whose parser is not the type of their field's default
 _PARSERS = {
@@ -279,7 +283,8 @@ def build_config(values: dict, preset: Optional[str] = None) -> ExperimentConfig
     Values are parsed from their string form by the type of their field's
     default, and unknown keys are rejected. ``m`` accepts an integer or the
     literal ``auto`` (twice the mean delay, rounded up). The preset's
-    scenario keys replace the same keys of ``values``; only the resulting
+    scenario keys replace the same keys of ``values``, and ``policy =
+    oracle_linucb`` then becomes the ``ORACLE`` values; only the resulting
     config is validated.
     """
     parsed: dict = {}
@@ -296,6 +301,8 @@ def build_config(values: dict, preset: Optional[str] = None) -> ExperimentConfig
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (expected one of A, B, C, D)")
         parsed.update(PRESETS[preset])
+    if parsed.get("policy") == "oracle_linucb":
+        parsed.update(ORACLE)
     return ExperimentConfig(**parsed)
 
 
@@ -342,10 +349,7 @@ def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     for t, aset in zip(range(1, config.T + 1), _action_sets(config, streams.actions)):
         idx = policy.select(aset, streams.policy)
         chosen = aset.actions[idx]
-        events = env.step(idx, aset)
-        if policy.needs_uncensored_feedback:
-            events = [ConversionEvent(t)] if env.last_reward else []
-        policy.observe(events, chosen)
+        policy.observe(env.step(idx, aset), chosen)
         cum += env.instantaneous_regret(chosen, aset)
         trace[t - 1] = cum
     return RegretTrace(run_id=run_index, cum_regret=trace,

@@ -31,7 +31,7 @@ __all__ = ["LinearPolicy", "RandomPolicy", "make_policy"]
 
 
 class LinearPolicy:
-    """The three ridge-estimator policies, told apart by ``config.policy``.
+    """The two ridge-estimator policies, told apart by ``config.policy``.
 
     ``config`` is a validated ``ExperimentConfig``; the policy reads its
     ``d``, ``policy``, ``delta``, ``lam``, ``episode_window`` and
@@ -43,23 +43,17 @@ class LinearPolicy:
       in flight from the last ``m`` rounds, with their norms under the
       current inverse design matrix, so the width is the one ``coverage``
       checks. ``width_scale`` rescales the selection width only; coverage
-      is stated for the unscaled width.
+      is stated for the unscaled width. At ``m = 0`` with no delay the
+      penalty is zero and every reward is credited when it is drawn: this
+      is the undelayed LinUCB oracle (``harness.ORACLE``).
     * ``otf_lints``: randomized selection. Draws a parameter with
       ``sample_parameter`` and acts greedily on the draw.
-    * ``oracle_linucb``: baseline fed the true reward of every round with
-      no delay, scored like ``otf_linucb`` but with the plain exploration
-      radius (no window penalty). Every window credits a delay of zero,
-      so every reward is credited. Feeding immediate positive-only events
-      is equivalent to feeding the raw Bernoulli reward because zero
-      rewards contribute nothing.
     """
 
     def __init__(self, config: ExperimentConfig):
         if config.policy == "random":
             raise ValueError("kind 'random' is RandomPolicy, not a LinearPolicy")
         self.config = config
-        #: whether the harness should feed immediate uncensored rewards
-        self.needs_uncensored_feedback = config.policy == "oracle_linucb"
         self.est = WindowedEstimator(config.d, config.lam, config.episode_window)
 
     def sample_parameter(self, rng: np.random.Generator) -> np.ndarray:
@@ -86,10 +80,7 @@ class LinearPolicy:
         cfg, est, A = self.config, self.est, action_set.actions
         if cfg.policy == "otf_lints":
             return int(np.argmax(A @ self.sample_parameter(rng)))
-        if cfg.policy == "otf_linucb":
-            width = cfg.width_scale * est.confidence_width(cfg.delta)
-        else:
-            width = cfg.width_scale * est.exploration_radius(cfg.delta)
+        width = cfg.width_scale * est.confidence_width(cfg.delta)
         scores = A @ est.estimate() + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))
         return int(np.argmax(scores))
 
@@ -105,8 +96,6 @@ class RandomPolicy:
     Its played actions still go into an unwindowed estimator, ``est``,
     which measures the episode's elliptical potential.
     """
-
-    needs_uncensored_feedback = False
 
     def __init__(self, config: ExperimentConfig):
         self.est = WindowedEstimator(config.d, config.lam, 0)

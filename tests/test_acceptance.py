@@ -33,9 +33,10 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def preset_config(name: str, policy: str, n_runs: int) -> ExperimentConfig:
-    config = build_config({}, name)
+    # build_config turns oracle_linucb into the ORACLE values
+    config = build_config({"policy": policy}, name)
     # two workers; criterion 11 shows serial and parallel batches match
-    return replace(config, policy=policy, n_runs=n_runs, base_seed=0, n_jobs=2)
+    return replace(config, n_runs=n_runs, base_seed=0, n_jobs=2)
 
 
 @pytest.fixture(scope="module")

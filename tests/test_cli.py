@@ -50,11 +50,28 @@ class TestRun:
         assert "base_seed = 4" in meta
 
     def test_oracle_alias(self, tiny_config, tmp_path):
-        out = tmp_path / "r"
-        code = main(["run", "--config", str(tiny_config), "--policy", "oracle",
-                     "--out", str(out)])
-        assert code == 0
-        assert "policy = oracle_linucb" in (out / "metadata.txt").read_text()
+        # --policy oracle and policy = oracle_linucb in the file build one config
+        flag, file = tmp_path / "flag", tmp_path / "file"
+        assert main(["run", "--config", str(tiny_config), "--policy", "oracle",
+                     "--out", str(flag)]) == 0
+        tiny_config.write_text(tiny_config.read_text() + "policy = oracle_linucb\n"
+                               f"out = {file}\n")
+        assert main(["run", "--config", str(tiny_config)]) == 0
+        for name in ("traces.csv", "summary.csv"):
+            assert (flag / name).read_bytes() == (file / name).read_bytes()
+        meta = (flag / "metadata.txt").read_text()
+        assert meta.replace(f"out = {flag}", f"out = {file}") == (
+            file / "metadata.txt").read_text()
+        assert "policy = otf_linucb" in meta.splitlines()
+
+    def test_preset_oracle_runs_without_delay(self, tmp_path):
+        # the oracle's values replace the preset's delay and window
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "A", "--policy", "oracle", "--runs", "1",
+                     "--out", str(out)]) == 0
+        lines = (out / "metadata.txt").read_text().splitlines()
+        for line in ("delay = fixed", "delay_value = 0", "m = 0", "tau_m = 1"):
+            assert line in lines
 
     def test_preset_overrides_scenario(self, tmp_path):
         out = tmp_path / "r"
@@ -66,7 +83,7 @@ class TestRun:
 
     def test_bad_config_key_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        for line in ("nonsense = 1\n", "width_mode = cached\n"):
+        for line in ("nonsense = 1\n", "width_mode = cached\n", "hard_arm = 3\n"):
             cfg.write_text(line)
             assert main(["run", "--config", str(cfg)]) == 1
 
@@ -229,3 +246,16 @@ class TestCoverage:
         coverage = float([l for l in out.splitlines()
                           if l.startswith("coverage")][0].split("=")[1])
         assert 0.0 <= coverage <= 1.0
+
+    def test_oracle_config_runs_without_delay(self, tmp_path, capsys):
+        # policy = oracle_linucb replaces the file's delay and window
+        base = "d = 2\nK = 3\nT = 60\ndelta = 0.2\n"
+        printed = []
+        for extra in ("policy = oracle_linucb\ndelay = geometric\nm = 30\n",
+                      "delay = fixed\ndelay_value = 0\nm = 0\n"):
+            cfg = tmp_path / "cov.cfg"
+            cfg.write_text(base + extra)
+            assert main(["coverage", "--config", str(cfg), "--reps", "5"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "tau_m = 1\n" in printed[0]

@@ -12,7 +12,7 @@ from delayed_bandits.environment import (
     DelayedBanditEnv,
     action_block_rounds,
     generate_action_set,
-    make_hard_instance_pair,
+    make_hard_instance,
 )
 
 
@@ -210,27 +210,17 @@ class TestInstantaneousRegret:
 
 class TestHardInstancePair:
     def test_two_armed_construction(self):
-        theta, phi = make_hard_instance_pair(2, 0.1, 2)
-        assert np.allclose(theta, [0.6, 0.5])
-        assert np.allclose(phi, [0.6, 0.7])
+        assert np.allclose(make_hard_instance(2, 0.1), [0.6, 0.5])
 
-    def test_best_arms_differ(self):
-        theta, phi = make_hard_instance_pair(6, 0.05, 4)
-        assert int(np.argmax(theta)) == 0
-        assert int(np.argmax(phi)) == 3
+    def test_first_arm_is_best(self):
+        assert int(np.argmax(make_hard_instance(6, 0.05))) == 0
 
     def test_boundary_gap_excluded(self):
-        with pytest.raises(ValueError):
-            make_hard_instance_pair(4, 0.25, 2)
-
-    def test_arm_range(self):
-        with pytest.raises(ValueError):
-            make_hard_instance_pair(4, 0.1, 1)
-        with pytest.raises(ValueError):
-            make_hard_instance_pair(4, 0.1, 5)
+        with pytest.raises(ValueError, match=r"gap must lie in \(0, 1/4\)"):
+            make_hard_instance(4, 0.25)
 
     def test_means_valid_for_basis_actions(self):
-        theta, phi = make_hard_instance_pair(10, 0.2, 7)
+        theta = make_hard_instance(10, 0.2)
         env = make_env(theta, GeometricDelay(5), 0)
         aset = ActionSet(np.eye(10))
         for _ in range(20):

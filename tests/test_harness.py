@@ -45,7 +45,7 @@ class TestConfig:
         build_config({})
 
     def test_unknown_key(self):
-        for key, value in [("bogus", "1"), ("width_mode", "cached")]:
+        for key, value in [("bogus", "1"), ("width_mode", "cached"), ("hard_arm", "3")]:
             with pytest.raises(ConfigError, match="unknown config key"):
                 build_config({key: value})
 
@@ -63,9 +63,9 @@ class TestConfig:
             build_config({key: "2"})
 
     def test_values_parse_to_their_field_type(self):
-        config = build_config({"hard_arm": "3", "delay_mean": "7", "policy": "random",
+        config = build_config({"delay_value": "3", "delay_mean": "7", "policy": "random",
                                "out": "elsewhere"})
-        assert type(config.hard_arm) is int and config.hard_arm == 3
+        assert type(config.delay_value) is int and config.delay_value == 3
         assert type(config.delay_mean) is float and config.delay_mean == 7.0
         assert type(config.policy) is str and config.policy == "random"
         assert config.output_path == "elsewhere"
@@ -143,6 +143,17 @@ class TestConfig:
                 build_config({"delay": "empirical", "delay_path": str(path),
                               "delay_scale": scale})
 
+    @pytest.mark.parametrize("preset", [None, "A", "D"])
+    def test_oracle_is_otf_linucb_without_delay(self, preset):
+        # applied after the preset, so the preset's delay and window go too
+        config = build_config({"policy": "oracle_linucb", "m": "7", "delay_mean": "3",
+                               "width_scale": "0.3"}, preset)
+        assert (config.policy, config.delay, config.delay_value, config.m) == (
+            "otf_linucb", "fixed", 0, 0)
+        assert config.tau_m == 1.0 and config.width_scale == 0.3
+        with pytest.raises(ConfigError, match="unknown policy kind 'oracle_linucb'"):
+            ExperimentConfig(policy="oracle_linucb")
+
     def test_preset_replaces_only_scenario_keys(self):
         config = build_config({"d": "3", "T": "40", "policy": "random",
                                "n_runs": "7"}, "A")
@@ -186,7 +197,7 @@ class TestConfig:
         path = tmp_path / "delays.txt"
         path.write_text("2\n4\n")
         theta_keys = {"uniform_unit": [], "explicit": ["theta_values"],
-                      "k_armed_hard": ["hard_gap", "hard_arm"]}[theta]
+                      "k_armed_hard": ["hard_gap"]}[theta]
         delay_keys = {"geometric": ["delay_mean"], "fixed": ["delay_value"],
                       "empirical": ["delay_path", "delay_scale"],
                       "lognormal": ["delay_log_mean", "delay_log_std"]}[delay]
@@ -303,8 +314,7 @@ class TestRunEpisode:
 
     def test_hard_instance_episode_runs(self):
         config = ExperimentConfig(d=6, K=6, T=30, theta="k_armed_hard",
-                                  hard_gap=0.2, hard_arm=3,
-                                  action_mode="fixed_basis", delay="fixed",
+                                  hard_gap=0.2, action_mode="fixed_basis", delay="fixed",
                                   delay_value=2, m=5, n_runs=1)
         trace = run_episode(config, 0)
         assert trace.cum_regret[-1] >= 0.0
@@ -495,6 +505,17 @@ class TestConcentrationCoverage:
         assert penalty_decided > 0
         assert concentration_coverage(config, 20) == want
 
+    def test_window_penalty_decides_a_long_fixed_delay(self):
+        # every conversion arrives exactly m rounds late, so the estimate
+        # lags the scaled parameter: on seeds 0-5 about 47% of the checks
+        # exceed twice the radius, and the window penalty covers them all
+        config = ExperimentConfig(d=5, K=10, T=1000, delay="fixed", delay_value=500,
+                                  m=500, base_seed=0)
+        want, penalty_decided = full_width_coverage(config, 10)
+        assert want == 1.0
+        assert penalty_decided > 0
+        assert concentration_coverage(config, 10) == want
+
 
 def full_width_coverage(config, n_reps):
     """Coverage with the full width computed at every check, and the number of
@@ -621,15 +642,18 @@ class TestRandomnessLayout:
         monkeypatch.setattr(environment, "round_outcomes", recording_outcomes)
         # past a block of reward uniforms and delays, and past several
         # blocks of action sets
-        config = ExperimentConfig(T=1100, delay_mean=20.0, m=40, base_seed=4)
-        for policy in ("otf_linucb", "otf_lints", "oracle_linucb", "random"):
+        values = {"T": 1100, "delay_mean": 20.0, "m": 40, "base_seed": 4}
+        for policy in ("otf_linucb", "otf_lints", "random", "oracle_linucb"):
             seen.append(([], []))
-            run_episode(replace(config, policy=policy), 3)
+            run_episode(build_config({**values, "policy": policy}), 3)
         sets, pairs = seen[0]
-        assert len(sets) == len(pairs) == config.T
+        assert len(sets) == len(pairs) == 1100
         for other_sets, other_pairs in seen[1:]:
             assert np.array_equal(np.stack(other_sets), np.stack(sets))
-            assert other_pairs == pairs
+            assert [u for u, _ in other_pairs] == [u for u, _ in pairs]
+        # the oracle's environment has no delay; the others share the delays
+        assert seen[1][1] == seen[2][1] == pairs
+        assert {d for _, d in seen[3][1]} == {0}
 
     def test_random_play_does_not_depend_on_the_delay(self, tmp_path):
         # the action sets, the rewards and the random policy's picks each

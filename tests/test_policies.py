@@ -6,8 +6,8 @@ from scipy import stats
 
 from delayed_bandits.environment import (ActionSet, ConversionEvent, DelayedBanditEnv,
                                          action_sets)
-from delayed_bandits.delays import FixedDelay, GeometricDelay
-from delayed_bandits.harness import ExperimentConfig, _episode_streams
+from delayed_bandits.delays import FixedDelay
+from delayed_bandits.harness import ORACLE, ExperimentConfig, _episode_streams
 from delayed_bandits.policies import LinearPolicy, RandomPolicy, make_policy
 
 E1 = np.array([1.0, 0.0])
@@ -18,6 +18,8 @@ def contract_config(d, **kw):
     defaults = dict(d=d, policy="otf_linucb", delta=0.05, lam=1.0, m=10,
                     width_scale=1.0)
     defaults.update(kw)
+    if defaults["policy"] == "oracle_linucb":
+        defaults.update(ORACLE)  # as build_config folds it
     return ExperimentConfig(**defaults)
 
 
@@ -185,8 +187,8 @@ class TestOracleLinUCB:
         base = ExperimentConfig(d=3, K=5, T=500, delay="geometric", delay_mean=20.0,
                                 m=40, n_runs=1, base_seed=77)
         finals = {}
-        for kind in ("oracle_linucb", "otf_linucb"):
-            cfg = replace(base, policy=kind)
+        for kind, overrides in (("oracle_linucb", ORACLE), ("otf_linucb", {})):
+            cfg = replace(base, **overrides)
             finals[kind] = np.array([
                 run_episode(cfg, i).cum_regret[-1] for i in range(30)
             ])
@@ -222,20 +224,17 @@ class TestDeterminism:
                                       "oracle_linucb", "random"])
     def test_identical_streams_give_identical_actions(self, kind):
         def play(seed):
-            config = contract_config(3, policy=kind, m=15)
+            config = contract_config(3, policy=kind, m=15, delay_mean=10.0)
             policy = make_policy(config)
             streams = _episode_streams(seed, 0)
-            env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), GeometricDelay(10),
+            env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), config.resolved_delay,
                                    streams.rewards, streams.delays)
             sets = action_sets(streams.actions, 3, 6)
             chosen_indices = []
-            for t in range(1, 121):
+            for _ in range(120):
                 aset = next(sets)
                 idx = policy.select(aset, streams.policy)
-                events = env.step(idx, aset)
-                if policy.needs_uncensored_feedback:
-                    events = [ConversionEvent(t)] if env.last_reward else []
-                policy.observe(events, aset.actions[idx])
+                policy.observe(env.step(idx, aset), aset.actions[idx])
                 chosen_indices.append(idx)
             return chosen_indices
         assert play(100) == play(100)

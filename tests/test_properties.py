@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayed_bandits.environment import (
-    ACTION_BLOCK_ENTRIES, ActionSet, ConversionEvent, DelayedBanditEnv, action_block_rounds,
-    action_sets, generate_action_set)
+    ACTION_BLOCK_ENTRIES, ActionSet, DelayedBanditEnv, action_block_rounds, action_sets,
+    generate_action_set)
 from delayed_bandits.estimator import WindowedEstimator
-from delayed_bandits.harness import ExperimentConfig, _episode_streams, run_episode
+from delayed_bandits.harness import (ORACLE, ExperimentConfig, _episode_streams,
+                                     build_config, run_episode)
 from delayed_bandits.policies import LinearPolicy, make_policy
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -184,12 +185,13 @@ def test_ucb_pick_attains_einsum_maximum(seed, n_actions):
 def test_oracle_pick_attains_einsum_maximum(seed, n_actions):
     d, K = 50, 100
     rng = np.random.default_rng(seed)
-    config = ExperimentConfig(d=d, K=K, policy="oracle_linucb", m=0, width_scale=0.2)
+    config = ExperimentConfig(d=d, K=K, width_scale=0.2, **ORACLE)
     policy = LinearPolicy(config)
     random_state(policy, rng, d, n_actions)
     A = ActionSet(unit_ball_actions(rng, K, d)).actions
     est = policy.est
-    width = config.width_scale * est.exploration_radius(config.delta)
+    # at m = 0 the window penalty is zero: the width is twice the radius
+    width = config.width_scale * 2.0 * est.exploration_radius(config.delta)
     scores = A @ est.estimate() + width * np.sqrt(einsum_sq_norms(A, est.V_inv))
     best = scores[policy.select(ActionSet(A), rng)]
     assert best >= scores.max() - 1e-12 * max(1.0, abs(scores.max()))
@@ -222,21 +224,18 @@ def test_potential_sums_pre_update_norms(seed, d, lam, m, T):
 @given(seed=st.integers(0, 10_000), T=st.sampled_from([1, 200, 1100]),
        policy=st.sampled_from(["random", "otf_linucb", "oracle_linucb"]))
 def test_episode_potential_sums_pre_update_norms(seed, T, policy):
-    config = ExperimentConfig(d=3, K=4, T=T, delay_mean=5.0, m=10, policy=policy,
-                              base_seed=seed)
+    config = build_config(dict(d=3, K=4, T=T, delay_mean=5.0, m=10, policy=policy,
+                               base_seed=seed))
     streams = _episode_streams(config.base_seed, 0)
     env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
                            streams.rewards, streams.delays)
     player = make_policy(config)
     sets = action_sets(streams.actions, config.d, config.K)
     played = []
-    for t in range(1, T + 1):
+    for _ in range(T):
         aset = next(sets)
         idx = player.select(aset, streams.policy)
-        events = env.step(idx, aset)
-        if player.needs_uncensored_feedback:
-            events = [ConversionEvent(t)] if env.last_reward else []
-        player.observe(events, aset.actions[idx])
+        player.observe(env.step(idx, aset), aset.actions[idx])
         played.append(aset.actions[idx])
     want = pre_update_potential(np.array(played), config.lam)
     assert abs(player.est.potential - want) <= 1e-12 * want
