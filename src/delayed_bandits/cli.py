@@ -134,10 +134,12 @@ def _cmd_lower_bound(args) -> int:
 
 def _cmd_coverage(args) -> int:
     config = _config_from_args(args)
-    coverage = harness.concentration_coverage(config, args.reps)
+    result = harness.concentration_coverage(config, args.reps)
     print(f"reps = {args.reps}")
     print(f"tau_m = {config.tau_m:.17g}")
-    print(f"coverage = {coverage:.17g}")
+    print(f"coverage = {result.coverage:.17g}")
+    print(f"penalty_checks = {result.penalty_checks}")
+    print(f"max_deviation_ratio = {result.max_deviation_ratio:.17g}")
     return 0
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "action_sets",
     "generate_action_set",
     "make_hard_instance",
+    "outcome_block",
     "round_outcomes",
 ]
 
@@ -122,15 +123,21 @@ def action_sets(rng: np.random.Generator, d: int, K: int) -> Iterator[ActionSet]
             yield ActionSet._from_validated(actions)
 
 
+def outcome_block(delay_dist: DelayDistribution, reward_rng: np.random.Generator,
+                  delay_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``OUTCOME_BLOCK_ROUNDS`` rounds' reward uniforms and delays,
+    each from its own generator. One delay is drawn per round whether or
+    not the round converts."""
+    return (reward_rng.random(OUTCOME_BLOCK_ROUNDS),
+            delay_dist.sample_n(delay_rng, OUTCOME_BLOCK_ROUNDS))
+
+
 def round_outcomes(delay_dist: DelayDistribution, reward_rng: np.random.Generator,
                    delay_rng: np.random.Generator) -> Iterator[tuple[float, int]]:
-    """Every round's reward uniform and delay, each from its own generator,
-    drawn ``OUTCOME_BLOCK_ROUNDS`` rounds at a time. One delay is drawn per
-    round whether or not the round converts."""
+    """Every round's reward uniform and delay, drawn by ``outcome_block``."""
     while True:
-        uniforms = reward_rng.random(OUTCOME_BLOCK_ROUNDS).tolist()
-        delays = delay_dist.sample_n(delay_rng, OUTCOME_BLOCK_ROUNDS).tolist()
-        yield from zip(uniforms, delays)
+        uniforms, delays = outcome_block(delay_dist, reward_rng, delay_rng)
+        yield from zip(uniforms.tolist(), delays.tolist())
 
 
 def make_hard_instance(K: int, gap: float) -> np.ndarray:

@@ -100,11 +100,16 @@ class WindowedEstimator:
         Conversions for evicted (too old) or unknown rounds are silently
         dropped; repeat conversions for the same round are no-ops.
         """
-        if self.t - self._size <= round_index < self.t:
+        if self.in_window(round_index):
             slot = (round_index - 1) % self._rows
             if not self._converted[slot]:
                 self.B += self._actions[slot]
                 self._converted[slot] = True
+
+    def in_window(self, round_index: int) -> bool:
+        """Whether a conversion of ``round_index`` revealed now is credited:
+        the round is still in the ring."""
+        return self.t - self._size <= round_index < self.t
 
     def estimate(self) -> np.ndarray:
         """Current windowed least-squares parameter estimate."""

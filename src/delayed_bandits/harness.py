@@ -33,10 +33,11 @@ from .delays import (
 )
 from .environment import (
     ActionSet,
+    OUTCOME_BLOCK_ROUNDS,
     DelayedBanditEnv,
     action_sets,
     make_hard_instance,
-    round_outcomes,
+    outcome_block,
 )
 from .estimator import WindowedEstimator
 from .policies import make_policy
@@ -53,6 +54,7 @@ __all__ = [
     "run_episode",
     "run_batch",
     "summarize",
+    "Coverage",
     "concentration_coverage",
     "elliptical_potential_bound",
 ]
@@ -386,56 +388,105 @@ def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
     return traces, summarize(traces)
 
 
-def concentration_coverage(config: ExperimentConfig, n_reps: int) -> float:
+class Coverage(NamedTuple):
+    """What ``concentration_coverage`` found over its replications."""
+
+    coverage: float              # fraction of replications covered every round
+    penalty_checks: int          # live checks above twice the radius
+    max_deviation_ratio: float   # largest live deviation over twice the radius
+
+
+def _coverage_sequence(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The actions the random policy plays in run 0 of ``base_seed``, one row
+    per round, and their mean rewards."""
+    seq = _episode_streams(config.base_seed, 0)
+    actions = np.empty((config.T, config.d))
+    for t, aset in zip(range(config.T), _action_sets(config, seq.actions)):
+        actions[t] = aset.actions[int(seq.policy.integers(len(aset)))]
+    means = actions @ config.resolve_theta
+    if means.min() < -1e-9 or means.max() > 1.0 + 1e-9:
+        raise ConfigError("mean reward out of range [0, 1] for coverage sequence")
+    return actions, means
+
+
+def _lockstep_replications(config: ExperimentConfig, actions: np.ndarray,
+                           means: np.ndarray, n_reps: int):
+    """Play ``actions`` once for all replications together.
+
+    Yields ``(est, B)`` before each round's action: ``est`` is the one
+    estimator of the shared design, and row ``rep`` of the (n_reps, d)
+    array ``B`` is replication ``rep``'s credited sum. After the last
+    yield, round T is played too. Replication ``rep`` draws its rewards
+    and delays from the streams of run ``rep`` of ``base_seed + 1``, in
+    the episodes' blocks, and its conversions are credited through the
+    estimator's window rule. Conversions are queued round by round, so a
+    replication holds one block of draws (about 16 KB) and its
+    conversions in flight, whatever the horizon.
+    """
+    T = config.T
+    est = WindowedEstimator(config.d, config.lam, config.episode_window)
+    B = np.zeros((n_reps, config.d))
+    streams = [_episode_streams(config.base_seed + 1, rep) for rep in range(n_reps)]
+    # one block of every replication's draws, refilled every block of rounds
+    uniforms = np.empty((n_reps, OUTCOME_BLOCK_ROUNDS))
+    delays = np.empty((n_reps, OUTCOME_BLOCK_ROUNDS), dtype=np.int64)
+    # reveal round -> (rep, round) pairs of the conversions revealed then
+    reveal: dict[int, list] = {}
+    for t in range(1, T + 1):
+        j = (t - 1) % OUTCOME_BLOCK_ROUNDS
+        if j == 0:
+            for rep, s in enumerate(streams):
+                uniforms[rep], delays[rep] = outcome_block(config.resolved_delay,
+                                                           s.rewards, s.delays)
+        yield est, B
+        est.record_action(actions[t - 1])
+        reps = np.flatnonzero(uniforms[:, j] < means[t - 1])
+        for rep, when in zip(reps.tolist(), (delays[reps, j] + t).tolist()):
+            if when <= T:  # a later reveal reaches no check
+                reveal.setdefault(when, []).append((rep, t))
+        for rep, s in reveal.pop(t, ()):
+            if est.in_window(s):
+                B[rep] += actions[s - 1]
+
+
+def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
     """Fraction of replications whose estimate stays inside its ellipsoid.
 
     One action sequence is drawn up front and held fixed: the actions the
-    random policy plays in run 0 of ``base_seed``. Replication ``rep``
-    takes its rewards and delays from the streams of run ``rep`` of
-    ``base_seed + 1``, in the episodes' layout, then checks
-    at every selection time that the windowed estimate deviates from the
+    random policy plays in run 0 of ``base_seed``. Every replication plays
+    it, so all share one design matrix and advance together; each keeps
+    only its credited sum and its own rewards and delays (see
+    ``_lockstep_replications``). At every selection time each live
+    replication checks that its windowed estimate deviates from the
     window-scaled true parameter (in the design-matrix norm) by no more
     than the confidence width, the one OTFLinUCB selects with. Coverage
     counts replications where the check holds simultaneously for all
     rounds. The width is twice the exploration radius plus a window
     penalty that is never negative, so a deviation within twice the radius
-    passes without the penalty, which is computed only for one above it.
+    passes without the penalty, which is computed once in a round where
+    some live deviation is above it.
     """
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
-    theta = config.resolve_theta
-    delay = config.resolved_delay
-    target = config.tau_m * theta
-
-    seq = _episode_streams(config.base_seed, 0)
-    actions = np.empty((config.T, config.d))
-    for t, aset in zip(range(config.T), _action_sets(config, seq.actions)):
-        actions[t] = aset.actions[int(seq.policy.integers(len(aset)))]
-    means = actions @ theta
-    if means.min() < -1e-9 or means.max() > 1.0 + 1e-9:
-        raise ConfigError("mean reward out of range [0, 1] for coverage sequence")
-
+    actions, means = _coverage_sequence(config)
+    target = config.tau_m * config.resolve_theta
     # twice the exploration radius after t - 1 actions, as the width has it
     twice_radius = [2.0 * exploration_radius_at(n, config.d, config.lam, config.delta)
                     for n in range(config.T)]
-    hits = 0
-    for rep in range(n_reps):
-        streams = _episode_streams(config.base_seed + 1, rep)
-        outcomes = round_outcomes(delay, streams.rewards, streams.delays)
-        est = WindowedEstimator(config.d, config.lam, config.episode_window)
-        reveal: dict[int, list[int]] = {}
-        ok = True
-        for t, (u, d) in zip(range(1, config.T + 1), outcomes):
-            err = est.estimate() - target
-            lhs = math.sqrt(max(float(err @ est.V @ err), 0.0))
-            if lhs > twice_radius[t - 1] and lhs > est.confidence_width(config.delta):
-                ok = False
+    live = np.ones(n_reps, dtype=bool)
+    penalty_checks, max_ratio = 0, 0.0
+    rounds = _lockstep_replications(config, actions, means, n_reps)
+    for (est, B), radius in zip(rounds, twice_radius):
+        # V_inv is exactly symmetric, so row i of E is estimate_i - target
+        E = B @ est.V_inv
+        E -= target
+        lhs = np.sqrt(np.maximum(np.einsum("ij,ij->i", E @ est.V, E), 0.0))
+        peak = float(lhs.max(where=live, initial=0.0))
+        max_ratio = max(max_ratio, peak / radius)
+        if peak > radius:  # some live deviation needs the window penalty
+            penalty_checks += int(np.count_nonzero((lhs > radius) & live))
+            # the width is at least twice the radius: only those above it fail
+            live[lhs > est.confidence_width(config.delta)] = False
+            if not live.any():
                 break
-            a = actions[t - 1]
-            est.record_action(a)
-            if u < means[t - 1]:
-                reveal.setdefault(t + d, []).append(t)
-            for s in reveal.pop(t, []):
-                est.record_conversion(s)
-        hits += ok
-    return hits / n_reps
+    return Coverage(int(np.count_nonzero(live)) / n_reps, penalty_checks, max_ratio)

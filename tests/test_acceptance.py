@@ -154,7 +154,7 @@ def test_criterion_5_confidence_coverage():
     config = ExperimentConfig(d=3, K=10, T=500, delay="geometric",
                               delay_mean=20.0, m=40, delta=0.05, lam=1.0,
                               base_seed=0)
-    coverage = concentration_coverage(config, 500)
+    coverage = concentration_coverage(config, 500).coverage
     ok = coverage >= 0.87
     report("5 (simultaneous confidence coverage)", ok,
            f"coverage {coverage:.3f} >= 0.87")

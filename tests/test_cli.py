@@ -243,9 +243,12 @@ class TestCoverage:
                        "m = 40\ndelta = 0.2\n")
         assert main(["coverage", "--config", str(cfg), "--reps", "5"]) == 0
         out = capsys.readouterr().out
-        coverage = float([l for l in out.splitlines()
-                          if l.startswith("coverage")][0].split("=")[1])
-        assert 0.0 <= coverage <= 1.0
+        values = dict(line.split(" = ") for line in out.splitlines())
+        assert list(values) == ["reps", "tau_m", "coverage", "penalty_checks",
+                                "max_deviation_ratio"]
+        assert 0.0 <= float(values["coverage"]) <= 1.0
+        assert int(values["penalty_checks"]) >= 0
+        assert float(values["max_deviation_ratio"]) >= 0.0
 
     def test_oracle_config_runs_without_delay(self, tmp_path, capsys):
         # policy = oracle_linucb replaces the file's delay and window

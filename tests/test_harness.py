@@ -236,7 +236,7 @@ class TestResolveOnce:
         parallel_traces, _ = run_batch(parallel)
         for a, b in zip(serial_traces, parallel_traces):
             assert np.array_equal(a.cum_regret, b.cum_regret)
-        assert 0.0 <= concentration_coverage(serial, 2) <= 1.0
+        assert 0.0 <= concentration_coverage(serial, 2).coverage <= 1.0
         assert ("m", 8) in serial.resolved_items()
 
     def test_build_delay_runs_once_per_config(self, monkeypatch):
@@ -477,33 +477,45 @@ class TestConcentrationCoverage:
     def test_smoke_at_half_delta(self):
         config = ExperimentConfig(d=2, K=3, T=50, delay="geometric",
                                   delay_mean=4.0, m=8, delta=0.5, base_seed=3)
-        coverage = concentration_coverage(config, 12)
+        coverage = concentration_coverage(config, 12).coverage
         assert 0.0 <= coverage <= 1.0
 
     def test_zero_delay_full_window_covers(self):
         # the no-censoring case collapses to plain ridge concentration
         config = ExperimentConfig(d=2, K=3, T=120, delay="fixed", delay_value=0,
                                   m=120, delta=0.05, base_seed=11)
-        assert concentration_coverage(config, 40) >= 0.87
+        assert concentration_coverage(config, 40).coverage >= 0.87
 
     def test_rep_count_validated(self):
         with pytest.raises(ConfigError):
             concentration_coverage(TINY, 0)
 
-    def test_penalty_decided_checks_match_a_full_width_loop(self, monkeypatch):
+    def test_penalty_decided_checks_match_a_full_width_loop(self, tenth_radius):
         # a tenth of the radius leaves checks that only the window penalty
         # passes, so the penalty is computed and decides some of them
-        def small(n, d, lam, delta):
-            return 0.1 * bounds.exploration_radius_at(n, d, lam, delta)
-
-        monkeypatch.setattr(harness, "exploration_radius_at", small)
-        monkeypatch.setattr(estimator, "exploration_radius_at", small)
-        config = ExperimentConfig(d=2, K=4, T=150, delay="geometric", delay_mean=5.0,
-                                  m=3, base_seed=3)
+        config = replace(TENTH_RADIUS, base_seed=3)
         want, penalty_decided = full_width_coverage(config, 20)
         assert 0.0 < want < 1.0
         assert penalty_decided > 0
-        assert concentration_coverage(config, 20) == want
+        assert concentration_coverage(config, 20).coverage == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tenth_radius_matches_a_full_width_loop_on_every_seed(self, tenth_radius,
+                                                                 seed):
+        config = replace(TENTH_RADIUS, base_seed=seed)
+        want, _ = full_width_coverage(config, 20)
+        assert concentration_coverage(config, 20).coverage == want
+
+    def test_a_replication_s_verdict_does_not_depend_on_the_others(self, tenth_radius):
+        # replication rep plays the same whatever the count, so one more
+        # replication adds zero hits or one
+        config = replace(TENTH_RADIUS, base_seed=3)
+        hits = [0]
+        for n_reps in range(1, 21):
+            covered = n_reps * concentration_coverage(config, n_reps).coverage
+            hits.append(round(covered))
+            assert covered == pytest.approx(hits[-1], abs=1e-9)
+        assert {b - a for a, b in zip(hits, hits[1:])} == {0, 1}
 
     def test_window_penalty_decides_a_long_fixed_delay(self):
         # every conversion arrives exactly m rounds late, so the estimate
@@ -514,7 +526,63 @@ class TestConcentrationCoverage:
         want, penalty_decided = full_width_coverage(config, 10)
         assert want == 1.0
         assert penalty_decided > 0
-        assert concentration_coverage(config, 10) == want
+        result = concentration_coverage(config, 10)
+        assert result.coverage == want
+        # every check passed, so each one above twice the radius is counted
+        assert result.penalty_checks == penalty_decided
+
+    def test_penalty_checks_and_deviation_ratio(self):
+        # conversions m rounds late put deviations above twice the radius;
+        # preset A's stay well inside it
+        long_delay = concentration_coverage(ExperimentConfig(
+            d=5, K=10, T=1000, delay="fixed", delay_value=500, m=500, base_seed=0), 10)
+        assert long_delay.penalty_checks > 0
+        assert long_delay.max_deviation_ratio > 1.0
+        preset_a = concentration_coverage(build_config({}, "A"), 4)
+        assert preset_a.penalty_checks == 0
+        assert 0.0 < preset_a.max_deviation_ratio <= 1.0
+
+    def test_lockstep_sums_match_per_replication_estimators(self):
+        # past one block of outcomes; with m = 40 against a mean delay of
+        # 20, some conversions are credited and some arrive too late
+        config = ExperimentConfig(T=1100, delay_mean=20.0, m=40, base_seed=5)
+        actions, means = harness._coverage_sequence(config)
+        for est, B in harness._lockstep_replications(config, actions, means, 3):
+            pass
+        for rep in range(3):
+            streams = harness._episode_streams(config.base_seed + 1, rep)
+            outcomes = round_outcomes(config.resolved_delay, streams.rewards,
+                                      streams.delays)
+            single = WindowedEstimator(config.d, config.lam, config.episode_window)
+            reveal = {}
+            credited = revealed = 0
+            for (t, a), (u, d) in zip(enumerate(actions, start=1), outcomes):
+                single.record_action(a)
+                if u < means[t - 1]:
+                    reveal.setdefault(t + d, []).append(t)
+                for s in reveal.pop(t, []):
+                    credited += single.in_window(s)
+                    revealed += 1
+                    single.record_conversion(s)
+            assert 0 < credited < revealed
+            assert B[rep].tobytes() == single.B.tobytes()
+        assert est.V.tobytes() == single.V.tobytes()
+        assert est.V_inv.tobytes() == single.V_inv.tobytes()
+
+
+# the config of the tenth-radius tests (see the tenth_radius fixture)
+TENTH_RADIUS = ExperimentConfig(d=2, K=4, T=150, delay="geometric", delay_mean=5.0, m=3)
+
+
+@pytest.fixture
+def tenth_radius(monkeypatch):
+    """Shrink the exploration radius to a tenth, in the harness and in the
+    estimator alike."""
+    def small(n, d, lam, delta):
+        return 0.1 * bounds.exploration_radius_at(n, d, lam, delta)
+
+    monkeypatch.setattr(harness, "exploration_radius_at", small)
+    monkeypatch.setattr(estimator, "exploration_radius_at", small)
 
 
 def full_width_coverage(config, n_reps):
@@ -582,7 +650,7 @@ class TestWindowCreditsDelayUpToM:
         config = ExperimentConfig(d=5, K=10, T=1000, delay="fixed", delay_value=20,
                                   m=20, base_seed=0)
         assert config.tau_m == 1.0
-        assert concentration_coverage(config, 20) >= 0.95
+        assert concentration_coverage(config, 20).coverage >= 0.95
 
     @pytest.mark.parametrize("delay", [GeometricDelay(5.0), LognormalDelay(1.5, 0.8)])
     def test_credited_fraction_matches_tau_m(self, delay):
@@ -677,7 +745,9 @@ class TestRandomnessLayout:
         config = ExperimentConfig(T=400, delay_mean=20.0, m=40, policy="random",
                                   base_seed=6)
         monkeypatch.setattr(WindowedEstimator, "record_action", recording)
-        concentration_coverage(config, 1)
+        # all replications share one design: T actions in all
+        assert concentration_coverage(config, 3).coverage == 1.0
+        assert len(played) == config.T
         coverage_actions = np.stack(played)
         played.clear()
         run_episode(config, 0)
