@@ -3,8 +3,8 @@
 Building blocks: delay distributions (:mod:`~delayed_bandits.delays`), the
 interaction environment (:mod:`~delayed_bandits.environment`), the windowed
 delayed least-squares estimator (:mod:`~delayed_bandits.estimator`), one
-linear policy class running OTFLinUCB and OTFLinTS, plus a uniform-random
-baseline (:mod:`~delayed_bandits.policies`), bound evaluators
+policy class running OTFLinUCB, OTFLinTS and a uniform-random baseline
+(:mod:`~delayed_bandits.policies`), bound evaluators
 (:mod:`~delayed_bandits.bounds`), and the experiment harness plus CLI
 (:mod:`~delayed_bandits.harness`, :mod:`~delayed_bandits.cli`). The undelayed
 LinUCB oracle is OTFLinUCB under the config values ``harness.ORACLE``.
@@ -47,7 +47,7 @@ from .harness import (
     summarize,
 )
 from .io import emit_csv, read_config_file, read_traces_csv
-from .policies import LinearPolicy, RandomPolicy, make_policy
+from .policies import Policy
 
 __version__ = "0.1.0"
 
@@ -61,10 +61,9 @@ __all__ = [
     "ExperimentConfig",
     "FixedDelay",
     "GeometricDelay",
-    "LinearPolicy",
     "LognormalDelay",
     "PRESETS",
-    "RandomPolicy",
+    "Policy",
     "RegretTrace",
     "SummaryStats",
     "WindowedEstimator",
@@ -76,7 +75,6 @@ __all__ = [
     "generate_action_set",
     "load_empirical",
     "make_hard_instance",
-    "make_policy",
     "minimax_lower_bound",
     "read_config_file",
     "read_traces_csv",

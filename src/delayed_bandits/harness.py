@@ -40,7 +40,7 @@ from .environment import (
     outcome_block,
 )
 from .estimator import WindowedEstimator
-from .policies import make_policy
+from .policies import Policy
 
 __all__ = [
     "ConfigError",
@@ -192,6 +192,22 @@ class ExperimentConfig:
             # the hard-instance parameter intentionally escapes the unit ball
             # for larger K; only per-action means must stay in [0, 1]
             theta = make_hard_instance(self.K, self.hard_gap)
+        # every action the config can draw must have a mean in [0, 1], to
+        # env.step's tolerance. Under fixed_basis the means are theta's
+        # entries. A drawn action is a normalized 0/1 vector: with k ones its
+        # mean is at least the sum of theta's k smallest entries over
+        # sqrt(k), and at most that of its k largest. Sorted in Python,
+        # because np.sort's first call maps about 0.4 MB of code.
+        ranked = sorted(theta.tolist())
+        if self.action_mode == "fixed_basis":
+            lo, hi = ranked[0], ranked[-1]
+        else:
+            root_k = [math.sqrt(k) for k in range(1, self.d + 1)]
+            lo = min(s / r for s, r in zip(itertools.accumulate(ranked), root_k))
+            hi = max(s / r for s, r in zip(itertools.accumulate(ranked[::-1]), root_k))
+        if lo < -1e-9 or hi > 1.0 + 1e-9:
+            raise ConfigError(f"theta gives mean rewards out of range [0, 1]: "
+                              f"min {lo:.6g}, max {hi:.6g}")
         theta.flags.writeable = False
         return theta
 
@@ -345,7 +361,7 @@ def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     streams = _episode_streams(config.base_seed, run_index)
     env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
                            streams.rewards, streams.delays)
-    policy = make_policy(config)
+    policy = Policy(config)
     trace = np.empty(config.T)
     cum = 0.0
     for t, aset in zip(range(1, config.T + 1), _action_sets(config, streams.actions)):
@@ -403,10 +419,7 @@ def _coverage_sequence(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray
     actions = np.empty((config.T, config.d))
     for t, aset in zip(range(config.T), _action_sets(config, seq.actions)):
         actions[t] = aset.actions[int(seq.policy.integers(len(aset)))]
-    means = actions @ config.resolve_theta
-    if means.min() < -1e-9 or means.max() > 1.0 + 1e-9:
-        raise ConfigError("mean reward out of range [0, 1] for coverage sequence")
-    return actions, means
+    return actions, actions @ config.resolve_theta
 
 
 def _lockstep_replications(config: ExperimentConfig, actions: np.ndarray,

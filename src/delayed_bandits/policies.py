@@ -1,12 +1,12 @@
-"""Bandit policies: ``LinearPolicy`` and the uniform ``RandomPolicy``.
+"""Bandit policies: one ``Policy`` class runs every kind in ``config.policy``.
 
-Both offer ``select``, which picks an action index from the round's action
-set and is pure given the internal state and the supplied generator, and
-``observe``, the only mutator, which consumes the round's revealed
-conversions together with the action just played. Every policy is built
-from a validated ``ExperimentConfig`` and records its plays in a
-``WindowedEstimator``, ``est``, whose ``potential`` is the episode's
-elliptical potential.
+``Policy`` offers ``select``, which picks an action index from the round's
+action set and is pure given the internal state and the supplied
+generator, and ``observe``, the only mutator, which consumes the round's
+revealed conversions together with the action just played. It is built
+from a validated ``ExperimentConfig``, and every kind records its plays and
+credits its conversions in a ``WindowedEstimator``, ``est``, whose
+``potential`` is the episode's elliptical potential.
 
 Ties break toward the lowest index among equal *computed* scores. Scores
 go through BLAS, so actions whose exact scores tie (every unit action in
@@ -27,11 +27,11 @@ from .estimator import WindowedEstimator
 if TYPE_CHECKING:  # the harness imports this module, not the reverse
     from .harness import ExperimentConfig
 
-__all__ = ["LinearPolicy", "RandomPolicy", "make_policy"]
+__all__ = ["Policy"]
 
 
-class LinearPolicy:
-    """The two ridge-estimator policies, told apart by ``config.policy``.
+class Policy:
+    """Every policy kind, told apart by ``config.policy``.
 
     ``config`` is a validated ``ExperimentConfig``; the policy reads its
     ``d``, ``policy``, ``delta``, ``lam``, ``episode_window`` and
@@ -48,11 +48,11 @@ class LinearPolicy:
       is the undelayed LinUCB oracle (``harness.ORACLE``).
     * ``otf_lints``: randomized selection. Draws a parameter with
       ``sample_parameter`` and acts greedily on the draw.
+    * ``random``: a uniform action index from the generator; its estimate
+      is never read.
     """
 
     def __init__(self, config: ExperimentConfig):
-        if config.policy == "random":
-            raise ValueError("kind 'random' is RandomPolicy, not a LinearPolicy")
         self.config = config
         self.est = WindowedEstimator(config.d, config.lam, config.episode_window)
 
@@ -75,9 +75,9 @@ class LinearPolicy:
         return est.estimate() + root @ rng.standard_normal(est.d)
 
     def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
-        if len(action_set) == 0:
-            raise ValueError("empty action set")
         cfg, est, A = self.config, self.est, action_set.actions
+        if cfg.policy == "random":
+            return int(rng.integers(len(action_set)))
         if cfg.policy == "otf_lints":
             return int(np.argmax(A @ self.sample_parameter(rng)))
         width = cfg.width_scale * est.confidence_width(cfg.delta)
@@ -88,28 +88,3 @@ class LinearPolicy:
         self.est.record_action(chosen)
         for ev in events:
             self.est.record_conversion(ev.round_index)
-
-
-class RandomPolicy:
-    """Uniform action choice; ignores all conversions.
-
-    Its played actions still go into an unwindowed estimator, ``est``,
-    which measures the episode's elliptical potential.
-    """
-
-    def __init__(self, config: ExperimentConfig):
-        self.est = WindowedEstimator(config.d, config.lam, 0)
-
-    def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
-        if len(action_set) == 0:
-            raise ValueError("empty action set")
-        return int(rng.integers(len(action_set)))
-
-    def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:
-        self.est.record_action(chosen)
-
-
-def make_policy(config: ExperimentConfig) -> LinearPolicy | RandomPolicy:
-    if config.policy == "random":
-        return RandomPolicy(config)
-    return LinearPolicy(config)

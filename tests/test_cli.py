@@ -7,7 +7,7 @@ from delayed_bandits import harness
 from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.cli import main
 from delayed_bandits.io import read_traces_csv
-from delayed_bandits.policies import LinearPolicy
+from delayed_bandits.policies import Policy
 
 
 @pytest.fixture
@@ -158,6 +158,25 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error: window m is too large")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("argv", [["run", "--seed", "0", "--runs", "1"],
+                                      ["run", "--seed", "5", "--runs", "1"],
+                                      ["coverage", "--reps", "2"]])
+    def test_theta_with_a_negative_action_mean_exits_1(self, tmp_path, capsys, argv):
+        # episodes at seed 5 draw an action with a negative mean, those at
+        # seed 0 do not; the config is rejected before either runs
+        theta = np.array([-0.02] + [1.0] * 17)
+        theta /= np.linalg.norm(theta)
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text("d = 18\nK = 10\nT = 3000\ntheta = explicit\n"
+                       f"theta_values = {','.join(repr(float(v)) for v in theta)}\n"
+                       "delay = fixed\ndelay_value = 5\nm = 10\npolicy = random\n"
+                       f"out = {tmp_path / 'r'}\n")
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+        printed = capsys.readouterr()
+        assert printed.err.startswith("config error: theta gives mean rewards out of range")
+        assert printed.out == ""
+        assert not (tmp_path / "r").exists()
+
     def test_non_finite_delay_scale_exits_1(self, tmp_path, capsys):
         delays = tmp_path / "delays.txt"
         delays.write_text("1\n3\n8\n")
@@ -196,7 +215,7 @@ class TestRun:
         def fail(self, rng, size=None):
             raise np.linalg.LinAlgError("covariance factorization failed")
 
-        monkeypatch.setattr(LinearPolicy, "sample_parameter", fail)
+        monkeypatch.setattr(Policy, "sample_parameter", fail)
         code = main(["run", "--config", str(tiny_config), "--policy", "otf_lints",
                      "--out", str(tmp_path / "r")])
         assert code == 2

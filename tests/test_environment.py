@@ -27,21 +27,23 @@ def replay_rngs(seed):
 
 
 def reference_block(rng, d, K, n):
-    """Plain-loop reference of generate_action_set: each row's d bits in
-    turn from the byte stream, most significant bit first; the rows still
-    all-zero are redrawn together, in row order, from the next bytes."""
+    """Plain reference of generate_action_set: each row's d bits in turn
+    from the byte stream, read as one big-endian integer's binary digits,
+    most significant bit first; the rows still all-zero are redrawn
+    together, in row order, from the next bytes."""
     def bits(count):
-        stream = [(byte >> (7 - i)) & 1 for byte in rng.bytes(-(-count // 8))
-                  for i in range(8)]
+        raw = rng.bytes(-(-count // 8))
+        stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
         return [stream[j * d:(j + 1) * d] for j in range(count // d)]
 
     rows = bits(n * K * d)
-    zero = [i for i, row in enumerate(rows) if not any(row)]
+    zero = [i for i, row in enumerate(rows) if "1" not in row]
     while zero:
         for i, row in zip(zero, bits(len(zero) * d)):
             rows[i] = row
-        zero = [i for i in zero if not any(rows[i])]
-    mat = np.array(rows, dtype=float)
+        zero = [i for i in zero if "1" not in rows[i]]
+    digits = np.frombuffer("".join(rows).encode(), np.uint8) - ord("0")
+    mat = digits.reshape(n * K, d).astype(float)
     return (mat / np.linalg.norm(mat, axis=1, keepdims=True)).reshape(n, K, d)
 
 

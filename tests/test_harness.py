@@ -15,7 +15,7 @@ from delayed_bandits import environment
 from delayed_bandits.environment import (ActionSet, DelayedBanditEnv, action_sets,
                                          round_outcomes)
 from delayed_bandits.estimator import WindowedEstimator
-from delayed_bandits.policies import make_policy
+from delayed_bandits.policies import Policy
 from delayed_bandits.harness import (
     PRESETS,
     ConfigError,
@@ -88,6 +88,16 @@ class TestConfig:
             build_config({"theta": "explicit", "theta_values": "0.1,0.2", "d": "3"})
         with pytest.raises(ConfigError, match="norm"):
             build_config({"theta": "explicit", "theta_values": "0.9,0.9", "d": "2"})
+
+    def test_explicit_theta_checks_every_action_mean(self):
+        # only the action holding the negative entry alone has a negative
+        # mean, and few episodes draw it; the config is invalid for all
+        theta = np.array([-0.02] + [1.0] * 17)
+        theta /= np.linalg.norm(theta)
+        with pytest.raises(ConfigError, match="mean rewards out of range"):
+            ExperimentConfig(d=18, K=10, T=3000, theta="explicit",
+                             theta_values=tuple(theta), delay="fixed",
+                             delay_value=5, m=10, policy="random")
 
     def test_policy_settings_rejected(self):
         # keys that are only checked under another kind than the default
@@ -293,7 +303,7 @@ class TestRunEpisode:
         streams = _episode_streams(config.base_seed, 2)
         env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
                                streams.rewards, streams.delays)
-        policy = make_policy(config)
+        policy = Policy(config)
         sets = action_sets(streams.actions, config.d, config.K)
         total = 0.0
         for t in range(1, config.T + 1):
@@ -621,10 +631,10 @@ def full_width_coverage(config, n_reps):
     return hits / n_reps, penalty_decided
 
 
-def credited_and_revealed(delay, m, T, seed=0):
+def credited_and_revealed(delay, m, T, seed=0, policy="otf_linucb"):
     """Play the only action e1 against theta = e1 (every round converts)
-    through an OTFLinUCB policy, in the harness's observe order."""
-    policy = make_policy(ExperimentConfig(d=1, K=1, m=m))
+    through a policy of kind ``policy``, in the harness's observe order."""
+    policy = Policy(ExperimentConfig(d=1, K=1, m=m, policy=policy))
     env = DelayedBanditEnv(np.ones(1), delay, np.random.default_rng(seed),
                            np.random.default_rng(seed + 1))
     aset = ActionSet(np.eye(1))
@@ -640,9 +650,10 @@ class TestWindowCreditsDelayUpToM:
     """The estimator credits a conversion iff its delay is at most m, the
     event whose probability is tau_m."""
 
+    @pytest.mark.parametrize("policy", ["otf_linucb", "random"])
     @pytest.mark.parametrize("m", [0, 1, 5])
-    def test_fixed_delay_of_m_is_fully_credited(self, m):
-        credited, revealed = credited_and_revealed(FixedDelay(m), m, 200)
+    def test_fixed_delay_of_m_is_fully_credited(self, m, policy):
+        credited, revealed = credited_and_revealed(FixedDelay(m), m, 200, policy=policy)
         assert revealed == 200 - m
         assert credited == revealed
 

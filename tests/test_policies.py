@@ -8,7 +8,7 @@ from delayed_bandits.environment import (ActionSet, ConversionEvent, DelayedBand
                                          action_sets)
 from delayed_bandits.delays import FixedDelay
 from delayed_bandits.harness import ORACLE, ExperimentConfig, _episode_streams
-from delayed_bandits.policies import LinearPolicy, RandomPolicy, make_policy
+from delayed_bandits.policies import Policy
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -25,19 +25,19 @@ def contract_config(d, **kw):
 
 class TestOTFLinUCB:
     def test_fresh_state_breaks_ties_low(self):
-        policy = LinearPolicy(contract_config(3))
+        policy = Policy(contract_config(3))
         aset = ActionSet(np.eye(3))
         assert policy.select(aset, np.random.default_rng(0)) == 0
 
     def test_single_action(self):
-        policy = LinearPolicy(contract_config(2))
+        policy = Policy(contract_config(2))
         aset = ActionSet(np.array([[0.0, 1.0]]))
         assert policy.select(aset, np.random.default_rng(0)) == 0
 
     def test_exploitation_dominates_after_many_rounds(self):
         # alternate both directions with conversions only along e1, so the
         # estimate points at e1 and both bonuses shrink equally
-        policy = LinearPolicy(contract_config(2, m=10))
+        policy = Policy(contract_config(2, m=10))
         rng = np.random.default_rng(0)
         for t in range(1, 20001):
             a = E1 if t % 2 else E2
@@ -50,7 +50,7 @@ class TestOTFLinUCB:
 
     def test_selected_score_is_maximal(self):
         rng = np.random.default_rng(1)
-        policy = LinearPolicy(contract_config(3, m=5))
+        policy = Policy(contract_config(3, m=5))
         for t in range(1, 60):
             raw = rng.standard_normal((4, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -74,7 +74,7 @@ class TestOTFLinUCB:
                 assert int(np.argmax(scores)) == int(np.argmax(c * scores))
 
     def test_empty_action_set_rejected(self):
-        policy = LinearPolicy(contract_config(2))
+        policy = Policy(contract_config(2))
         empty = ActionSet._from_validated(np.empty((0, 2)))
         with pytest.raises(ValueError, match="empty"):
             policy.select(empty, np.random.default_rng(0))
@@ -83,7 +83,7 @@ class TestOTFLinUCB:
 class TestOTFLinTS:
     @staticmethod
     def _trained_policy():
-        policy = LinearPolicy(contract_config(3, policy="otf_lints", m=6))
+        policy = Policy(contract_config(3, policy="otf_lints", m=6))
         rng = np.random.default_rng(4)
         for t in range(1, 120):
             raw = rng.standard_normal(3)
@@ -133,7 +133,7 @@ class TestOTFLinTS:
 
     def test_fresh_policy_samples_inverse_design_matrix(self):
         # an empty window leaves the covariance uninflated: V_inv = I / lam
-        policy = LinearPolicy(contract_config(3, policy="otf_lints", lam=2.0))
+        policy = Policy(contract_config(3, policy="otf_lints", lam=2.0))
         est = policy.est
         assert self._target_cov(est) == pytest.approx(est.V_inv, rel=1e-12)
         n = 100_000
@@ -156,7 +156,7 @@ class TestOTFLinTS:
 
 class TestOracleLinUCB:
     def test_fresh_tie_break(self):
-        policy = LinearPolicy(contract_config(2, policy="oracle_linucb"))
+        policy = Policy(contract_config(2, policy="oracle_linucb"))
         assert policy.select(ActionSet(np.eye(2)), np.random.default_rng(0)) == 0
 
     def test_estimator_matches_windowed_under_zero_delay(self):
@@ -164,8 +164,8 @@ class TestOracleLinUCB:
         # identical data
         cfg_otf = contract_config(3, m=300)
         cfg_oracle = contract_config(3, policy="oracle_linucb")
-        otf = LinearPolicy(cfg_otf)
-        oracle = LinearPolicy(cfg_oracle)
+        otf = Policy(cfg_otf)
+        oracle = Policy(cfg_oracle)
         theta = np.array([0.5, 0.3, 0.1])
         env = DelayedBanditEnv(theta, FixedDelay(0), np.random.default_rng(9),
                                np.random.default_rng(11))
@@ -200,11 +200,11 @@ class TestOracleLinUCB:
 
 class TestRandomPolicy:
     def test_single_action(self):
-        policy = RandomPolicy(contract_config(1, policy="random"))
+        policy = Policy(contract_config(1, policy="random"))
         assert policy.select(ActionSet(np.array([[1.0]])), np.random.default_rng(0)) == 0
 
     def test_uniformity_chi2(self):
-        policy = RandomPolicy(contract_config(10, policy="random"))
+        policy = Policy(contract_config(10, policy="random"))
         aset = ActionSet(np.eye(10))
         rng = np.random.default_rng(11)
         draws = np.array([policy.select(aset, rng) for _ in range(100_000)])
@@ -212,7 +212,7 @@ class TestRandomPolicy:
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_deterministic_under_seed(self):
-        policy = RandomPolicy(contract_config(4, policy="random"))
+        policy = Policy(contract_config(4, policy="random"))
         aset = ActionSet(np.eye(4))
         a = [policy.select(aset, np.random.default_rng(12)) for _ in range(1)]
         b = [policy.select(aset, np.random.default_rng(12)) for _ in range(1)]
@@ -225,7 +225,7 @@ class TestDeterminism:
     def test_identical_streams_give_identical_actions(self, kind):
         def play(seed):
             config = contract_config(3, policy=kind, m=15, delay_mean=10.0)
-            policy = make_policy(config)
+            policy = Policy(config)
             streams = _episode_streams(seed, 0)
             env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), config.resolved_delay,
                                    streams.rewards, streams.delays)
@@ -240,15 +240,15 @@ class TestDeterminism:
         assert play(100) == play(100)
 
 
-def test_make_policy_kinds():
+def test_policy_kinds():
     for kind in ("otf_linucb", "otf_lints", "oracle_linucb", "random"):
         config = contract_config(3, policy=kind, m=5)
-        policy = make_policy(config)
+        policy = Policy(config)
         assert policy.select(ActionSet(np.eye(3)), np.random.default_rng(0)) in range(3)
 
 
 @pytest.mark.parametrize("m, rows", [(3, 4), (5, 6), (10**11, 6)])
 def test_window_ring_stops_at_the_horizon(m, rows):
     # a window at least as long as the episode never evicts a round
-    policy = LinearPolicy(ExperimentConfig(d=3, K=3, T=5, m=m))
+    policy = Policy(ExperimentConfig(d=3, K=3, T=5, m=m))
     assert policy.est._actions.shape == (rows, 3)

@@ -1,20 +1,20 @@
-"""Property tests: BLAS norms, the ring window, the estimate and the action
-blocks against plain references."""
+"""Property tests: BLAS norms, the ring window, the estimate, the action
+blocks and the theta mean-range check against plain references."""
 
 import math
 from collections import deque
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delayed_bandits.environment import (
     ACTION_BLOCK_ENTRIES, ActionSet, DelayedBanditEnv, action_block_rounds, action_sets,
     generate_action_set)
 from delayed_bandits.estimator import WindowedEstimator
-from delayed_bandits.harness import (ORACLE, ExperimentConfig, _episode_streams,
-                                     build_config, run_episode)
-from delayed_bandits.policies import LinearPolicy, make_policy
+from delayed_bandits.harness import (ORACLE, ConfigError, ExperimentConfig,
+                                     _episode_streams, build_config, run_episode)
+from delayed_bandits.policies import Policy
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -170,7 +170,7 @@ def test_ucb_pick_attains_einsum_maximum(seed, n_actions):
     d, K = 50, 100
     rng = np.random.default_rng(seed)
     config = ExperimentConfig(d=d, K=K, policy="otf_linucb", m=100, width_scale=0.2)
-    policy = LinearPolicy(config)
+    policy = Policy(config)
     random_state(policy, rng, d, n_actions)
     aset = ActionSet(generate_action_set(rng, d, K, 1)[0])
     A, est = aset.actions, policy.est
@@ -186,7 +186,7 @@ def test_oracle_pick_attains_einsum_maximum(seed, n_actions):
     d, K = 50, 100
     rng = np.random.default_rng(seed)
     config = ExperimentConfig(d=d, K=K, width_scale=0.2, **ORACLE)
-    policy = LinearPolicy(config)
+    policy = Policy(config)
     random_state(policy, rng, d, n_actions)
     A = ActionSet(unit_ball_actions(rng, K, d)).actions
     est = policy.est
@@ -229,7 +229,7 @@ def test_episode_potential_sums_pre_update_norms(seed, T, policy):
     streams = _episode_streams(config.base_seed, 0)
     env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
                            streams.rewards, streams.delays)
-    player = make_policy(config)
+    player = Policy(config)
     sets = action_sets(streams.actions, config.d, config.K)
     played = []
     for _ in range(T):
@@ -279,3 +279,37 @@ def test_action_blocks_hold_normalized_nonzero_binary_rows(d, K, seed):
     # each row is 1/sqrt(k) on k coordinates and 0 elsewhere
     assert np.all((rows == 0) | (rows == 1.0 / np.sqrt(ones)[:, None]))
     assert np.all(np.abs(np.sum(rows * rows, axis=1) - 1.0) <= 1e-12)
+
+
+def every_action_mean(theta, action_mode):
+    """The mean of every action a config can draw: the standard basis, or all
+    2^d - 1 normalized nonzero 0/1 vectors."""
+    d = theta.size
+    if action_mode == "fixed_basis":
+        return np.eye(d) @ theta
+    bits = (np.arange(1, 2**d)[:, None] >> np.arange(d)) & 1
+    return (bits / np.sqrt(bits.sum(axis=1, keepdims=True))) @ theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.lists(st.floats(-0.3, 1.0), min_size=1, max_size=8),
+       action_mode=st.sampled_from(["resample_each_round", "fixed_basis"]))
+@example(raw=[-0.02] + [1.0] * 7, action_mode="resample_each_round")
+# each entry is inside the tolerance; the all-ones action's mean is not
+@example(raw=[-6e-10] * 8, action_mode="resample_each_round")
+def test_theta_check_matches_every_action_mean(raw, action_mode):
+    theta = np.array(raw)
+    theta /= max(1.0, np.linalg.norm(theta))  # inside the unit ball
+    means = every_action_mean(theta, action_mode)
+    lo, hi = -1e-9, 1.0 + 1e-9  # env.step's tolerance
+    # rounding apart, the check and this enumeration compute the same means
+    assume(min(abs(means.min() - lo), abs(means.max() - hi)) > 1e-12)
+    d = theta.size
+    try:
+        ExperimentConfig(d=d, K=d, theta="explicit", theta_values=tuple(theta),
+                         action_mode=action_mode)
+        accepted = True
+    except ConfigError as exc:
+        assert "mean rewards out of range" in str(exc)
+        accepted = False
+    assert accepted == (lo <= means.min() and means.max() <= hi)
