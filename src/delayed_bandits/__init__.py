@@ -3,11 +3,13 @@
 Building blocks: delay distributions (:mod:`~delayed_bandits.delays`), the
 interaction environment (:mod:`~delayed_bandits.environment`), the windowed
 delayed least-squares estimator (:mod:`~delayed_bandits.estimator`), one
-policy class running OTFLinUCB, OTFLinTS and a uniform-random baseline
-(:mod:`~delayed_bandits.policies`), bound evaluators
+policy class running OTFLinUCB, OTFLinTS and a uniform-random baseline on
+plain arrays (:mod:`~delayed_bandits.policies`), bound evaluators
 (:mod:`~delayed_bandits.bounds`), and the experiment harness plus CLI
-(:mod:`~delayed_bandits.harness`, :mod:`~delayed_bandits.cli`). The undelayed
-LinUCB oracle is OTFLinUCB under the config values ``harness.ORACLE``.
+(:mod:`~delayed_bandits.harness`, :mod:`~delayed_bandits.cli`). The harness
+hands the policy the environment's action arrays and revealed round indices.
+The undelayed LinUCB oracle is OTFLinUCB under the config values
+``harness.ORACLE``.
 """
 
 from .bounds import (

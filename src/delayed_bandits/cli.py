@@ -159,15 +159,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numerical failure, not a config error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # bad numeric arguments to the bound evaluators are config errors
+        # a ConfigError, or a bad numeric argument to a bound evaluator
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

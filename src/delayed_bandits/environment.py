@@ -53,9 +53,6 @@ class ActionSet:
             raise ValueError(f"action norm exceeds 1: max {norms.max():.12f}")
         object.__setattr__(self, "actions", arr)
 
-    def __len__(self) -> int:
-        return self.actions.shape[0]
-
     @classmethod
     def _from_validated(cls, actions: np.ndarray) -> "ActionSet":
         # fast path for internally generated, already-normalized sets

@@ -66,10 +66,6 @@ class WindowedEstimator:
         self._size = 0  # rounds in the ring
         self._eye = np.eye(d)
 
-    @property
-    def num_actions(self) -> int:
-        return self.t - 1
-
     def record_action(self, a: np.ndarray) -> None:
         """Fold one played action into the design matrix and the window."""
         a = np.asarray(a, dtype=float)
@@ -117,7 +113,7 @@ class WindowedEstimator:
 
     def exploration_radius(self, delta: float) -> float:
         """Self-normalized deviation width at the current action count."""
-        return exploration_radius_at(self.num_actions, self.d, self.lam, delta)
+        return exploration_radius_at(self.t - 1, self.d, self.lam, delta)
 
     def window_norm_sum(self) -> float:
         """Sum of the penalty rounds' action norms under the current inverse

@@ -266,7 +266,6 @@ class SummaryStats:
     mean: np.ndarray
     std: np.ndarray
     final_quantiles: dict
-    n_runs: int
 
 
 # Scenario presets. A, B and C use geometric delays with d=5, K=10, T=3000
@@ -365,18 +364,13 @@ def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     trace = np.empty(config.T)
     cum = 0.0
     for t, aset in zip(range(1, config.T + 1), _action_sets(config, streams.actions)):
-        idx = policy.select(aset, streams.policy)
+        idx = policy.select(aset.actions, streams.policy)
         chosen = aset.actions[idx]
-        policy.observe(env.step(idx, aset), chosen)
+        policy.observe([ev.round_index for ev in env.step(idx, aset)], chosen)
         cum += env.instantaneous_regret(chosen, aset)
         trace[t - 1] = cum
     return RegretTrace(run_id=run_index, cum_regret=trace,
                        elliptical_potential=policy.est.potential)
-
-
-def _episode_worker(args) -> RegretTrace:
-    config, run_index = args
-    return run_episode(config, run_index)
 
 
 def summarize(traces: list) -> SummaryStats:
@@ -387,7 +381,7 @@ def summarize(traces: list) -> SummaryStats:
     quantiles = {f"q{int(100 * q)}": float(np.quantile(finals, q))
                  for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
     return SummaryStats(mean=stacked.mean(axis=0), std=stacked.std(axis=0, ddof=0),
-                        final_quantiles=quantiles, n_runs=len(traces))
+                        final_quantiles=quantiles)
 
 
 def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
@@ -396,11 +390,10 @@ def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
     workers = min(config.n_jobs, config.n_runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_episode_worker,
-                                   [(config, i) for i in indices], chunksize=1))
+            traces = list(pool.map(run_episode, itertools.repeat(config), indices,
+                                   chunksize=1))
     else:
         traces = [run_episode(config, i) for i in indices]
-    traces.sort(key=lambda tr: tr.run_id)
     return traces, summarize(traces)
 
 
@@ -418,7 +411,7 @@ def _coverage_sequence(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray
     seq = _episode_streams(config.base_seed, 0)
     actions = np.empty((config.T, config.d))
     for t, aset in zip(range(config.T), _action_sets(config, seq.actions)):
-        actions[t] = aset.actions[int(seq.policy.integers(len(aset)))]
+        actions[t] = aset.actions[int(seq.policy.integers(config.K))]
     return actions, actions @ config.resolve_theta
 
 

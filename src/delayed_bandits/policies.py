@@ -1,12 +1,12 @@
 """Bandit policies: one ``Policy`` class runs every kind in ``config.policy``.
 
-``Policy`` offers ``select``, which picks an action index from the round's
-action set and is pure given the internal state and the supplied
-generator, and ``observe``, the only mutator, which consumes the round's
-revealed conversions together with the action just played. It is built
-from a validated ``ExperimentConfig``, and every kind records its plays and
-credits its conversions in a ``WindowedEstimator``, ``est``, whose
-``potential`` is the episode's elliptical potential.
+``Policy`` offers ``select``, which picks a row of the round's (K, d)
+action array and is pure given the internal state and the supplied
+generator, and ``observe``, the only mutator, which takes the indices of
+the rounds whose conversions were revealed, as ints, and the action just
+played. It is built from a validated ``ExperimentConfig``, and every kind
+records its plays and credits its conversions in a ``WindowedEstimator``,
+``est``, whose ``potential`` is the episode's elliptical potential.
 
 Ties break toward the lowest index among equal *computed* scores. Scores
 go through BLAS, so actions whose exact scores tie (every unit action in
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .environment import ActionSet, ConversionEvent
 from .estimator import WindowedEstimator
 
 if TYPE_CHECKING:  # the harness imports this module, not the reverse
@@ -74,17 +73,17 @@ class Policy:
             ) from exc
         return est.estimate() + root @ rng.standard_normal(est.d)
 
-    def select(self, action_set: ActionSet, rng: np.random.Generator) -> int:
-        cfg, est, A = self.config, self.est, action_set.actions
+    def select(self, A: np.ndarray, rng: np.random.Generator) -> int:
+        cfg, est = self.config, self.est
         if cfg.policy == "random":
-            return int(rng.integers(len(action_set)))
+            return int(rng.integers(len(A)))
         if cfg.policy == "otf_lints":
             return int(np.argmax(A @ self.sample_parameter(rng)))
         width = cfg.width_scale * est.confidence_width(cfg.delta)
         scores = A @ est.estimate() + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))
         return int(np.argmax(scores))
 
-    def observe(self, events: list[ConversionEvent], chosen: np.ndarray) -> None:
+    def observe(self, rounds: list[int], chosen: np.ndarray) -> None:
         self.est.record_action(chosen)
-        for ev in events:
-            self.est.record_conversion(ev.round_index)
+        for s in rounds:
+            self.est.record_conversion(s)

@@ -144,6 +144,18 @@ class TestRun:
         want = regret_upper_bound(5, 3, 1.0, 0.05, 5, 1.0)
         assert bounds[0] == f"regret_upper_bound = {want:.17g}"
 
+    def test_no_delay_inside_the_window_writes_an_infinite_bound(self, tmp_path, capsys):
+        # every delay is 50 > m = 10: nothing is credited, so tau_m = 0
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text("T = 200\ndelay = fixed\ndelay_value = 50\nm = 10\nn_runs = 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        meta = (tmp_path / "r" / "metadata.txt").read_text().splitlines()
+        assert "tau_m = 0" in meta
+        assert "regret_upper_bound = inf" in meta
+        capsys.readouterr()
+        assert main(["coverage", "--config", str(cfg), "--reps", "3"]) == 0
+        assert "coverage = 1\n" in capsys.readouterr().out
+
     def test_metadata_names_the_randomness_layout(self, tiny_config, tmp_path):
         assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r")]) == 0
         meta = (tmp_path / "r" / "metadata.txt").read_text().splitlines()

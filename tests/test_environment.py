@@ -58,9 +58,9 @@ class TestActionSet:
         with pytest.raises(ValueError):
             ActionSet(np.ones(3))
 
-    def test_len_and_rows(self):
+    def test_rows(self):
         aset = ActionSet(np.eye(3))
-        assert len(aset) == 3 and aset.actions.shape == (3, 3)
+        assert aset.actions.shape == (3, 3)
         assert np.array_equal(aset.actions[1], [0, 1, 0])
 
 

@@ -198,7 +198,7 @@ class TestConfidenceWidth:
         assert est.confidence_width(0.05) == pytest.approx(expected, abs=1e-12)
 
 
-class TestMahalanobisNorm:
+class TestSqNorms:
     """Norms in the inverse-design metric, squared, from ``sq_norms``."""
 
     def test_fresh_state_is_l2(self):

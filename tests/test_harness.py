@@ -308,9 +308,9 @@ class TestRunEpisode:
         total = 0.0
         for t in range(1, config.T + 1):
             aset = next(sets)
-            idx = policy.select(aset, streams.policy)
-            events = env.step(idx, aset)
-            policy.observe(events, aset.actions[idx])
+            idx = policy.select(aset.actions, streams.policy)
+            policy.observe([ev.round_index for ev in env.step(idx, aset)],
+                           aset.actions[idx])
             values = aset.actions @ env.theta
             total += max(values) - values[idx]
         assert total == pytest.approx(run_episode(config, 2).cum_regret[-1],
@@ -527,6 +527,21 @@ class TestConcentrationCoverage:
             assert covered == pytest.approx(hits[-1], abs=1e-9)
         assert {b - a for a, b in zip(hits, hits[1:])} == {0, 1}
 
+    def test_stops_once_every_replication_has_failed(self, monkeypatch):
+        # at 1e-12 of the radius every replication fails in round 1, before
+        # any action is recorded, and no later round is played
+        def tiny(n, d, lam, delta):
+            return 1e-12 * bounds.exploration_radius_at(n, d, lam, delta)
+
+        monkeypatch.setattr(harness, "exploration_radius_at", tiny)
+        monkeypatch.setattr(estimator, "exploration_radius_at", tiny)
+        calls = []
+        record = WindowedEstimator.record_action
+        monkeypatch.setattr(WindowedEstimator, "record_action",
+                            lambda est, a: calls.append(a) or record(est, a))
+        assert concentration_coverage(TENTH_RADIUS, 5).coverage == 0.0
+        assert calls == []
+
     def test_window_penalty_decides_a_long_fixed_delay(self):
         # every conversion arrives exactly m rounds late, so the estimate
         # lags the scaled parameter: on seeds 0-5 about 47% of the checks
@@ -605,7 +620,7 @@ def full_width_coverage(config, n_reps):
     actions = np.empty((config.T, config.d))
     for i in range(config.T):
         aset = next(sets)
-        actions[i] = aset.actions[int(seq.policy.integers(len(aset)))]
+        actions[i] = aset.actions[int(seq.policy.integers(config.K))]
     means = actions @ theta
     hits = penalty_decided = 0
     for rep in range(n_reps):
@@ -640,9 +655,9 @@ def credited_and_revealed(delay, m, T, seed=0, policy="otf_linucb"):
     aset = ActionSet(np.eye(1))
     revealed = 0
     for _ in range(T):
-        events = env.step(0, aset)
-        revealed += len(events)
-        policy.observe(events, aset.actions[0])
+        rounds = [ev.round_index for ev in env.step(0, aset)]
+        revealed += len(rounds)
+        policy.observe(rounds, aset.actions[0])
     return int(policy.est.B[0]), revealed
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from delayed_bandits.environment import (ActionSet, ConversionEvent, DelayedBanditEnv,
-                                         action_sets)
+from delayed_bandits.environment import ActionSet, DelayedBanditEnv, action_sets
 from delayed_bandits.delays import FixedDelay
 from delayed_bandits.harness import ORACLE, ExperimentConfig, _episode_streams
 from delayed_bandits.policies import Policy
@@ -26,13 +25,11 @@ def contract_config(d, **kw):
 class TestOTFLinUCB:
     def test_fresh_state_breaks_ties_low(self):
         policy = Policy(contract_config(3))
-        aset = ActionSet(np.eye(3))
-        assert policy.select(aset, np.random.default_rng(0)) == 0
+        assert policy.select(np.eye(3), np.random.default_rng(0)) == 0
 
     def test_single_action(self):
         policy = Policy(contract_config(2))
-        aset = ActionSet(np.array([[0.0, 1.0]]))
-        assert policy.select(aset, np.random.default_rng(0)) == 0
+        assert policy.select(np.array([[0.0, 1.0]]), np.random.default_rng(0)) == 0
 
     def test_exploitation_dominates_after_many_rounds(self):
         # alternate both directions with conversions only along e1, so the
@@ -41,12 +38,10 @@ class TestOTFLinUCB:
         rng = np.random.default_rng(0)
         for t in range(1, 20001):
             a = E1 if t % 2 else E2
-            events = [ConversionEvent(t)] if t % 2 else []
-            policy.observe(events, a)
+            policy.observe([t] if t % 2 else [], a)
         est = policy.est
         assert est.estimate()[0] > 0.9
-        aset = ActionSet(np.eye(2))
-        assert policy.select(aset, rng) == 0
+        assert policy.select(np.eye(2), rng) == 0
 
     def test_selected_score_is_maximal(self):
         rng = np.random.default_rng(1)
@@ -54,16 +49,14 @@ class TestOTFLinUCB:
         for t in range(1, 60):
             raw = rng.standard_normal((4, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            aset = ActionSet(raw)
-            idx = policy.select(aset, rng)
+            idx = policy.select(raw, rng)
             # the optimistic index from a fresh solve against V
-            est, A = policy.est, aset.actions
+            est, A = policy.est, raw
             width = est.confidence_width(0.05)
             norms = np.sqrt(np.einsum("ki,ki->k", A, np.linalg.solve(est.V, A.T).T))
             scores = A @ np.linalg.solve(est.V, est.B) + width * norms
             assert scores[idx] >= scores.max() - 1e-12 * max(1.0, np.abs(scores).max())
-            events = [ConversionEvent(t)] if rng.random() < 0.4 else []
-            policy.observe(events, aset.actions[idx])
+            policy.observe([t] if rng.random() < 0.4 else [], A[idx])
 
     def test_argmax_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -75,9 +68,8 @@ class TestOTFLinUCB:
 
     def test_empty_action_set_rejected(self):
         policy = Policy(contract_config(2))
-        empty = ActionSet._from_validated(np.empty((0, 2)))
         with pytest.raises(ValueError, match="empty"):
-            policy.select(empty, np.random.default_rng(0))
+            policy.select(np.empty((0, 2)), np.random.default_rng(0))
 
 
 class TestOTFLinTS:
@@ -88,7 +80,7 @@ class TestOTFLinTS:
         for t in range(1, 120):
             raw = rng.standard_normal(3)
             a = raw / np.linalg.norm(raw)
-            policy.observe([ConversionEvent(t)] if rng.random() < 0.6 else [], a)
+            policy.observe([t] if rng.random() < 0.6 else [], a)
         return policy
 
     @staticmethod
@@ -105,11 +97,11 @@ class TestOTFLinTS:
 
     def test_select_is_argmax_of_sampled_parameter(self):
         policy = self._trained_policy()
-        aset = ActionSet(np.vstack([np.eye(3), -np.eye(3) * 0.9]))
+        A = np.vstack([np.eye(3), -np.eye(3) * 0.9])
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(25):
-            greedy = int(np.argmax(aset.actions @ policy.sample_parameter(twin)))
-            assert policy.select(aset, rng) == greedy
+            greedy = int(np.argmax(A @ policy.sample_parameter(twin)))
+            assert policy.select(A, rng) == greedy
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_sample_mean_matches_estimate(self):
@@ -147,17 +139,16 @@ class TestOTFLinTS:
         # equal seeds give equal choices and leave equal generator states
         a = self._trained_policy()
         b = self._trained_policy()
-        aset = ActionSet(np.eye(3))
         r1, r2 = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(10):
-            assert a.select(aset, r1) == b.select(aset, r2)
+            assert a.select(np.eye(3), r1) == b.select(np.eye(3), r2)
         assert r1.bit_generator.state == r2.bit_generator.state
 
 
 class TestOracleLinUCB:
     def test_fresh_tie_break(self):
         policy = Policy(contract_config(2, policy="oracle_linucb"))
-        assert policy.select(ActionSet(np.eye(2)), np.random.default_rng(0)) == 0
+        assert policy.select(np.eye(2), np.random.default_rng(0)) == 0
 
     def test_estimator_matches_windowed_under_zero_delay(self):
         # with no delay every conversion is credited by both, so they see
@@ -174,10 +165,10 @@ class TestOracleLinUCB:
             raw = np.abs(rng.standard_normal((5, 3)))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
             aset = ActionSet(raw)
-            idx = otf.select(aset, rng)
-            events = env.step(idx, aset)
-            otf.observe(events, aset.actions[idx])
-            oracle.observe(events, aset.actions[idx])
+            idx = otf.select(aset.actions, rng)
+            rounds = [ev.round_index for ev in env.step(idx, aset)]
+            otf.observe(rounds, aset.actions[idx])
+            oracle.observe(rounds, aset.actions[idx])
             assert np.abs(otf.est.estimate() - oracle.est.estimate()).max() < 1e-10
 
     def test_oracle_not_worse_than_delayed_policy(self):
@@ -201,21 +192,19 @@ class TestOracleLinUCB:
 class TestRandomPolicy:
     def test_single_action(self):
         policy = Policy(contract_config(1, policy="random"))
-        assert policy.select(ActionSet(np.array([[1.0]])), np.random.default_rng(0)) == 0
+        assert policy.select(np.array([[1.0]]), np.random.default_rng(0)) == 0
 
     def test_uniformity_chi2(self):
         policy = Policy(contract_config(10, policy="random"))
-        aset = ActionSet(np.eye(10))
         rng = np.random.default_rng(11)
-        draws = np.array([policy.select(aset, rng) for _ in range(100_000)])
+        draws = np.array([policy.select(np.eye(10), rng) for _ in range(100_000)])
         counts = np.bincount(draws, minlength=10)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_deterministic_under_seed(self):
         policy = Policy(contract_config(4, policy="random"))
-        aset = ActionSet(np.eye(4))
-        a = [policy.select(aset, np.random.default_rng(12)) for _ in range(1)]
-        b = [policy.select(aset, np.random.default_rng(12)) for _ in range(1)]
+        a = [policy.select(np.eye(4), np.random.default_rng(12)) for _ in range(1)]
+        b = [policy.select(np.eye(4), np.random.default_rng(12)) for _ in range(1)]
         assert a == b
 
 
@@ -233,8 +222,9 @@ class TestDeterminism:
             chosen_indices = []
             for _ in range(120):
                 aset = next(sets)
-                idx = policy.select(aset, streams.policy)
-                policy.observe(env.step(idx, aset), aset.actions[idx])
+                idx = policy.select(aset.actions, streams.policy)
+                policy.observe([ev.round_index for ev in env.step(idx, aset)],
+                               aset.actions[idx])
                 chosen_indices.append(idx)
             return chosen_indices
         assert play(100) == play(100)
@@ -244,7 +234,7 @@ def test_policy_kinds():
     for kind in ("otf_linucb", "otf_lints", "oracle_linucb", "random"):
         config = contract_config(3, policy=kind, m=5)
         policy = Policy(config)
-        assert policy.select(ActionSet(np.eye(3)), np.random.default_rng(0)) in range(3)
+        assert policy.select(np.eye(3), np.random.default_rng(0)) in range(3)
 
 
 @pytest.mark.parametrize("m, rows", [(3, 4), (5, 6), (10**11, 6)])

@@ -177,7 +177,7 @@ def test_ucb_pick_attains_einsum_maximum(seed, n_actions):
     width = config.width_scale * est.confidence_width(config.delta)
     scores = A @ est.estimate() + width * np.sqrt(einsum_sq_norms(A, est.V_inv))
     tol = 1e-12 * max(1.0, np.abs(scores).max())
-    assert scores[policy.select(aset, rng)] >= scores.max() - tol
+    assert scores[policy.select(A, rng)] >= scores.max() - tol
 
 
 @settings(max_examples=15, deadline=None)
@@ -193,7 +193,7 @@ def test_oracle_pick_attains_einsum_maximum(seed, n_actions):
     # at m = 0 the window penalty is zero: the width is twice the radius
     width = config.width_scale * 2.0 * est.exploration_radius(config.delta)
     scores = A @ est.estimate() + width * np.sqrt(einsum_sq_norms(A, est.V_inv))
-    best = scores[policy.select(ActionSet(A), rng)]
+    best = scores[policy.select(A, rng)]
     assert best >= scores.max() - 1e-12 * max(1.0, abs(scores.max()))
 
 
@@ -234,8 +234,8 @@ def test_episode_potential_sums_pre_update_norms(seed, T, policy):
     played = []
     for _ in range(T):
         aset = next(sets)
-        idx = player.select(aset, streams.policy)
-        player.observe(env.step(idx, aset), aset.actions[idx])
+        idx = player.select(aset.actions, streams.policy)
+        player.observe([ev.round_index for ev in env.step(idx, aset)], aset.actions[idx])
         played.append(aset.actions[idx])
     want = pre_update_potential(np.array(played), config.lam)
     assert abs(player.est.potential - want) <= 1e-12 * want
