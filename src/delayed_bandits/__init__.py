@@ -32,7 +32,6 @@ from .environment import (
     ConversionEvent,
     DelayedBanditEnv,
     generate_action_set,
-    make_hard_instance,
 )
 from .estimator import WindowedEstimator
 from .harness import (
@@ -76,7 +75,6 @@ __all__ = [
     "emit_csv",
     "generate_action_set",
     "load_empirical",
-    "make_hard_instance",
     "minimax_lower_bound",
     "read_config_file",
     "read_traces_csv",

@@ -83,8 +83,10 @@ class FixedDelay(DelayDistribution):
     value: int
 
     def __post_init__(self):
-        if self.value < 0 or self.value != int(self.value):
-            raise ValueError(f"fixed delay must be a natural number, got {self.value}")
+        # NaN and infinity fail the range test, before int() could raise
+        if not 0 <= self.value < 2**63 or self.value != int(self.value):
+            raise ValueError(f"fixed delay must be a natural number below 2**63, "
+                             f"got {self.value}")
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value, dtype=np.int64)
@@ -101,8 +103,9 @@ class EmpiricalDelay(DelayDistribution):
     """Uniform resampling from a finite pool of observed delays.
 
     Raw samples are multiplied by ``scale`` and floored to integers at
-    construction; only the floored values are kept. They are the support,
-    and the CDF and mean are exact with respect to it.
+    construction, each of which must be below 2**63 (an int64 delay); only
+    the floored values are kept. They are the support, and the CDF and mean
+    are exact with respect to it.
     """
 
     samples: InitVar[tuple]
@@ -117,9 +120,12 @@ class EmpiricalDelay(DelayDistribution):
             raise ValueError("empty delay sample set")
         if np.any(raw < 0):
             raise ValueError("negative delay sample")
-        values = np.floor(self.scale * raw).astype(np.int64)
-        values = np.maximum(values, 0)
-        object.__setattr__(self, "_values", values)
+        floored = np.floor(self.scale * raw)
+        fits = floored < 2.0**63  # an int64 delay; False for NaN too
+        if not fits.all():
+            raise ValueError(f"delay sample {raw[~fits][0]} times scale {self.scale} "
+                             f"is not below 2**63")
+        object.__setattr__(self, "_values", floored.astype(np.int64))
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(self._values.size, size=n)

@@ -24,12 +24,13 @@ __all__ = [
     "action_block_rounds",
     "action_sets",
     "generate_action_set",
-    "make_hard_instance",
     "outcome_block",
     "round_outcomes",
 ]
 
-_NORM_TOL = 1e-9
+#: slack of every unit-ball and [0, 1]-mean check: ``ActionSet``'s norms,
+#: ``step``'s means, and the config's check of theta
+NORM_TOL = 1e-9
 #: most action entries (rounds x K x d) drawn in one block
 ACTION_BLOCK_ENTRIES = 16_384
 #: rounds of reward uniforms and of delays drawn in one block
@@ -49,7 +50,7 @@ class ActionSet:
         if arr.shape[0] < 1:
             raise ValueError("action set must contain at least one action")
         norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms > 1.0 + _NORM_TOL):
+        if np.any(norms > 1.0 + NORM_TOL):
             raise ValueError(f"action norm exceeds 1: max {norms.max():.12f}")
         object.__setattr__(self, "actions", arr)
 
@@ -137,21 +138,6 @@ def round_outcomes(delay_dist: DelayDistribution, reward_rng: np.random.Generato
         yield from zip(uniforms.tolist(), delays.tolist())
 
 
-def make_hard_instance(K: int, gap: float) -> np.ndarray:
-    """K-armed Bernoulli parameter vector where arm 1 has an edge of ``gap``.
-
-    Every other arm has mean 1/2. Intended for use with the fixed
-    standard-basis action set.
-    """
-    if K < 2:
-        raise ValueError("hard instance needs K >= 2 arms")
-    if not (0.0 < gap < 0.25):
-        raise ValueError(f"gap must lie in (0, 1/4), got {gap}")
-    theta = np.full(K, 0.5)
-    theta[0] = 0.5 + gap
-    return theta
-
-
 class DelayedBanditEnv:
     """One episode's environment state: true parameter, delays, pending queue.
 
@@ -178,15 +164,14 @@ class DelayedBanditEnv:
         whose delay elapses this round (a zero delay reveals immediately).
         """
         means = action_set.actions @ self.theta
-        if means.min() < -_NORM_TOL or means.max() > 1.0 + _NORM_TOL:
+        if means.min() < -NORM_TOL or means.max() > 1.0 + NORM_TOL:
             raise ValueError(
                 f"mean reward out of range [0, 1]: min {means.min():.6g}, "
                 f"max {means.max():.6g}"
             )
         t = self.t
-        p = min(max(float(means[chosen]), 0.0), 1.0)
         u, d = next(self._outcomes)
-        if u < p:
+        if u < float(means[chosen]):
             self._pending.setdefault(t + d, []).append(t)
         self.t = t + 1
         # each reveal list was appended in increasing round order

@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import exploration_radius_at
 from .delays import (
     DelayDistribution,
     FixedDelay,
@@ -33,10 +32,10 @@ from .delays import (
 )
 from .environment import (
     ActionSet,
+    NORM_TOL,
     OUTCOME_BLOCK_ROUNDS,
     DelayedBanditEnv,
     action_sets,
-    make_hard_instance,
     outcome_block,
 )
 from .estimator import WindowedEstimator
@@ -186,12 +185,18 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"theta_values has length {theta.size}, expected d={self.d}"
                 )
-            if not np.linalg.norm(theta) <= 1.0 + 1e-9:
+            if not np.linalg.norm(theta) <= 1.0 + NORM_TOL:
                 raise ConfigError("explicit theta must have L2 norm <= 1")
         else:
-            # the hard-instance parameter intentionally escapes the unit ball
-            # for larger K; only per-action means must stay in [0, 1]
-            theta = make_hard_instance(self.K, self.hard_gap)
+            # K arms of mean 1/2, the first with an edge of hard_gap, for
+            # the standard basis; theta escapes the unit ball for larger K,
+            # and only per-action means must stay in [0, 1]
+            if self.K < 2:
+                raise ConfigError("hard instance needs K >= 2 arms")
+            if not (0.0 < self.hard_gap < 0.25):
+                raise ConfigError(f"gap must lie in (0, 1/4), got {self.hard_gap}")
+            theta = np.full(self.K, 0.5)
+            theta[0] = 0.5 + self.hard_gap
         # every action the config can draw must have a mean in [0, 1], to
         # env.step's tolerance. Under fixed_basis the means are theta's
         # entries. A drawn action is a normalized 0/1 vector: with k ones its
@@ -205,7 +210,7 @@ class ExperimentConfig:
             root_k = [math.sqrt(k) for k in range(1, self.d + 1)]
             lo = min(s / r for s, r in zip(itertools.accumulate(ranked), root_k))
             hi = max(s / r for s, r in zip(itertools.accumulate(ranked[::-1]), root_k))
-        if lo < -1e-9 or hi > 1.0 + 1e-9:
+        if lo < -NORM_TOL or hi > 1.0 + NORM_TOL:
             raise ConfigError(f"theta gives mean rewards out of range [0, 1]: "
                               f"min {lo:.6g}, max {hi:.6g}")
         theta.flags.writeable = False
@@ -476,13 +481,10 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
         raise ConfigError("n_reps must be >= 1")
     actions, means = _coverage_sequence(config)
     target = config.tau_m * config.resolve_theta
-    # twice the exploration radius after t - 1 actions, as the width has it
-    twice_radius = [2.0 * exploration_radius_at(n, config.d, config.lam, config.delta)
-                    for n in range(config.T)]
     live = np.ones(n_reps, dtype=bool)
     penalty_checks, max_ratio = 0, 0.0
-    rounds = _lockstep_replications(config, actions, means, n_reps)
-    for (est, B), radius in zip(rounds, twice_radius):
+    for est, B in _lockstep_replications(config, actions, means, n_reps):
+        radius = 2.0 * est.exploration_radius(config.delta)
         # V_inv is exactly symmetric, so row i of E is estimate_i - target
         E = B @ est.V_inv
         E -= target

@@ -200,6 +200,28 @@ class TestRun:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["run", "coverage"])
+    @pytest.mark.parametrize("keys, samples", [
+        ("delay = empirical\n", "5\n1e30\n7\n"),
+        ("delay = empirical\ndelay_scale = 1000\n", "5\n1e17\n7\n"),
+        ("delay = fixed\ndelay_value = 10000000000000000000\n", None),
+    ], ids=["file", "scaled_file", "fixed"])
+    def test_delay_beyond_an_int64_exits_1(self, tmp_path, capsys, command, keys, samples):
+        # the file's large delay once ran as delay 0 (exit 0, tau_m = 1), and
+        # the fixed delay failed in the first episode (exit 2)
+        if samples is not None:
+            (tmp_path / "delays.txt").write_text(samples)
+            keys += f"delay_path = {tmp_path / 'delays.txt'}\n"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("d = 3\nK = 4\nT = 30\nn_runs = 1\n" + keys)
+        argv = {"run": ["--out", str(tmp_path / "r")], "coverage": ["--reps", "1"]}
+        assert main([command, "--config", str(cfg), *argv[command]]) == 1
+        printed = capsys.readouterr()
+        assert printed.err.startswith("config error: ")
+        assert "below 2**63" in printed.err
+        assert printed.out == ""
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["run", "coverage"])
     def test_delay_file_parsed_once_per_command(self, tmp_path, monkeypatch, command):
         delays = tmp_path / "delays.txt"
         delays.write_text("1\n3\n8\n")

@@ -84,6 +84,16 @@ class TestFixed:
         with pytest.raises(ValueError):
             FixedDelay(-1)
 
+    @pytest.mark.parametrize("value", [2**63, 10**19, float("nan"), float("inf")])
+    def test_rejects_values_beyond_an_int64_delay(self, value):
+        # 10**19 once passed construction and failed in the first sample_n
+        with pytest.raises(ValueError, match=r"natural number below 2\*\*63"):
+            FixedDelay(value)
+
+    def test_largest_int64_delay(self):
+        dist = FixedDelay(2**63 - 1)
+        assert dist.sample_n(np.random.default_rng(0), 2).tolist() == [2**63 - 1] * 2
+
 
 class TestEmpirical:
     def test_constant_pool_always_returns_it(self):
@@ -119,6 +129,17 @@ class TestEmpirical:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="scale must be positive and finite"):
                 EmpiricalDelay((1.0, 2.0), scale=scale)
+
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf"), 1e30])
+    def test_rejects_samples_beyond_an_int64_delay(self, sample):
+        # these samples once became delay 0 through a wrapped int64 cast
+        with pytest.raises(ValueError, match=r"is not below 2\*\*63"):
+            EmpiricalDelay((5.0, sample, 7.0))
+
+    def test_rejects_a_scaled_sample_beyond_an_int64_delay(self):
+        assert EmpiricalDelay((2.0**62,), scale=1.9).mean() == np.floor(1.9 * 2.0**62)
+        with pytest.raises(ValueError, match=r"is not below 2\*\*63"):
+            EmpiricalDelay((2.0**62,), scale=2.0)
 
     def test_keeps_only_the_floored_support(self):
         raw = tuple(np.random.default_rng(4).uniform(0, 50, size=1000).tolist())

@@ -12,7 +12,6 @@ from delayed_bandits.environment import (
     DelayedBanditEnv,
     action_block_rounds,
     generate_action_set,
-    make_hard_instance,
 )
 
 
@@ -209,21 +208,3 @@ class TestInstantaneousRegret:
             for a in aset.actions:
                 assert env.instantaneous_regret(a, aset) >= 0.0
 
-
-class TestHardInstancePair:
-    def test_two_armed_construction(self):
-        assert np.allclose(make_hard_instance(2, 0.1), [0.6, 0.5])
-
-    def test_first_arm_is_best(self):
-        assert int(np.argmax(make_hard_instance(6, 0.05))) == 0
-
-    def test_boundary_gap_excluded(self):
-        with pytest.raises(ValueError, match=r"gap must lie in \(0, 1/4\)"):
-            make_hard_instance(4, 0.25)
-
-    def test_means_valid_for_basis_actions(self):
-        theta = make_hard_instance(10, 0.2)
-        env = make_env(theta, GeometricDelay(5), 0)
-        aset = ActionSet(np.eye(10))
-        for _ in range(20):
-            env.step(int(np.random.default_rng(1).integers(10)), aset)

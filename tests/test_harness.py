@@ -227,6 +227,44 @@ class TestConfig:
             assert expected in keys
 
 
+class TestHardTheta:
+    """``theta = k_armed_hard``: K arms of mean 1/2, the first with an edge
+    of ``hard_gap``, under the standard basis."""
+
+    @staticmethod
+    def hard(K, gap):
+        return ExperimentConfig(d=K, K=K, theta="k_armed_hard", hard_gap=gap,
+                                action_mode="fixed_basis")
+
+    def test_two_armed_construction(self):
+        assert np.allclose(self.hard(2, 0.1).resolve_theta, [0.6, 0.5])
+
+    def test_first_arm_is_best(self):
+        assert int(np.argmax(self.hard(6, 0.05).resolve_theta)) == 0
+
+    def test_boundary_gap_excluded(self):
+        for gap in (0.0, 0.25):
+            with pytest.raises(ConfigError, match=r"gap must lie in \(0, 1/4\)"):
+                self.hard(4, gap)
+
+    def test_needs_two_arms(self):
+        with pytest.raises(ConfigError, match="K >= 2"):
+            self.hard(1, 0.1)
+
+    def test_checked_only_for_the_hard_theta(self):
+        assert ExperimentConfig(hard_gap=0.3).hard_gap == 0.3
+        assert ExperimentConfig(d=1, K=1).K == 1
+
+    def test_means_valid_for_basis_actions(self):
+        config = self.hard(10, 0.2)
+        assert np.linalg.norm(config.resolve_theta) > 1.0
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(3)]
+        env = DelayedBanditEnv(config.resolve_theta, GeometricDelay(5), *rngs[:2])
+        aset = ActionSet(np.eye(10))
+        for _ in range(20):
+            env.step(int(rngs[2].integers(10)), aset)
+
+
 class TestResolveOnce:
     def test_empirical_delay_file_is_parsed_once_per_config(self, tmp_path,
                                                             monkeypatch):
@@ -533,7 +571,6 @@ class TestConcentrationCoverage:
         def tiny(n, d, lam, delta):
             return 1e-12 * bounds.exploration_radius_at(n, d, lam, delta)
 
-        monkeypatch.setattr(harness, "exploration_radius_at", tiny)
         monkeypatch.setattr(estimator, "exploration_radius_at", tiny)
         calls = []
         record = WindowedEstimator.record_action
@@ -601,12 +638,11 @@ TENTH_RADIUS = ExperimentConfig(d=2, K=4, T=150, delay="geometric", delay_mean=5
 
 @pytest.fixture
 def tenth_radius(monkeypatch):
-    """Shrink the exploration radius to a tenth, in the harness and in the
-    estimator alike."""
+    """Shrink the estimator's exploration radius, which coverage reads too,
+    to a tenth."""
     def small(n, d, lam, delta):
         return 0.1 * bounds.exploration_radius_at(n, d, lam, delta)
 
-    monkeypatch.setattr(harness, "exploration_radius_at", small)
     monkeypatch.setattr(estimator, "exploration_radius_at", small)
 
 

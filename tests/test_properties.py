@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delayed_bandits.environment import (
-    ACTION_BLOCK_ENTRIES, ActionSet, DelayedBanditEnv, action_block_rounds, action_sets,
-    generate_action_set)
+    ACTION_BLOCK_ENTRIES, NORM_TOL, ActionSet, DelayedBanditEnv, action_block_rounds,
+    action_sets, generate_action_set)
 from delayed_bandits.estimator import WindowedEstimator
 from delayed_bandits.harness import (ORACLE, ConfigError, ExperimentConfig,
                                      _episode_streams, build_config, run_episode)
@@ -301,7 +301,7 @@ def test_theta_check_matches_every_action_mean(raw, action_mode):
     theta = np.array(raw)
     theta /= max(1.0, np.linalg.norm(theta))  # inside the unit ball
     means = every_action_mean(theta, action_mode)
-    lo, hi = -1e-9, 1.0 + 1e-9  # env.step's tolerance
+    lo, hi = -NORM_TOL, 1.0 + NORM_TOL  # env.step's tolerance
     # rounding apart, the check and this enumeration compute the same means
     assume(min(abs(means.min() - lo), abs(means.max() - hi)) > 1e-12)
     d = theta.size
