@@ -156,7 +156,10 @@ class LognormalDelay(DelayDistribution):
             raise ValueError(f"log_std must be positive, got {self.log_std}")
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.floor(rng.lognormal(self.log_mean, self.log_std, size=n)).astype(np.int64)
+        # clipped below 2**63, so the cast cannot wrap; a delay of 2**62
+        # rounds is never revealed
+        floored = np.floor(rng.lognormal(self.log_mean, self.log_std, size=n))
+        return np.minimum(floored, 2.0**62).astype(np.int64)
 
     def cdf(self, m: int) -> float:
         if m < 0:

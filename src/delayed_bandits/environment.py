@@ -22,6 +22,7 @@ __all__ = [
     "ConversionEvent",
     "DelayedBanditEnv",
     "action_block_rounds",
+    "action_blocks",
     "action_sets",
     "generate_action_set",
     "outcome_block",
@@ -111,13 +112,20 @@ def generate_action_set(rng: np.random.Generator, d: int, K: int, n: int) -> np.
     return bits.reshape(n, K, d)
 
 
-def action_sets(rng: np.random.Generator, d: int, K: int) -> Iterator[ActionSet]:
-    """Every round's action set, drawn ``action_block_rounds(d, K)`` rounds at
-    a time by ``generate_action_set``. Always whole blocks: a horizon that
-    ends inside one leaves the rest unused."""
+def action_blocks(rng: np.random.Generator, d: int, K: int) -> Iterator[np.ndarray]:
+    """Every round's actions, as (n, K, d) blocks of
+    ``n = action_block_rounds(d, K)`` rounds from ``generate_action_set``.
+    Always whole blocks: a horizon that ends inside one leaves the rest
+    unused."""
     n = action_block_rounds(d, K)
     while True:
-        for actions in generate_action_set(rng, d, K, n):
+        yield generate_action_set(rng, d, K, n)
+
+
+def action_sets(rng: np.random.Generator, d: int, K: int) -> Iterator[ActionSet]:
+    """Every round's action set, from ``action_blocks``."""
+    for block in action_blocks(rng, d, K):
+        for actions in block:
             yield ActionSet._from_validated(actions)
 
 

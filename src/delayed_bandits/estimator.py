@@ -103,9 +103,19 @@ class WindowedEstimator:
                 self._converted[slot] = True
 
     def in_window(self, round_index: int) -> bool:
-        """Whether a conversion of ``round_index`` revealed now is credited:
-        the round is still in the ring."""
-        return self.t - self._size <= round_index < self.t
+        """Whether a conversion of ``round_index`` revealed now, at the end of
+        round ``t - 1``, is credited: the round is still in the ring."""
+        # the ring's _size rounds are a window of _size - 1: m once it is
+        # full, and before that every recorded round
+        return self.credited(round_index, self.t - 1, self._size - 1)
+
+    @staticmethod
+    def credited(s, w, m):
+        """The window rule: a conversion of round ``s`` revealed at the end of
+        round ``w`` is credited by an ``m``-round window iff
+        ``max(1, w - m) <= s <= w``, i.e. its delay is at most ``m``. Takes
+        ints, or arrays elementwise."""
+        return (1 <= s) & (w - m <= s) & (s <= w)
 
     def estimate(self) -> np.ndarray:
         """Current windowed least-squares parameter estimate."""

@@ -35,6 +35,8 @@ from .environment import (
     NORM_TOL,
     OUTCOME_BLOCK_ROUNDS,
     DelayedBanditEnv,
+    action_block_rounds,
+    action_blocks,
     action_sets,
     outcome_block,
 )
@@ -412,52 +414,95 @@ class Coverage(NamedTuple):
 
 def _coverage_sequence(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The actions the random policy plays in run 0 of ``base_seed``, one row
-    per round, and their mean rewards."""
+    per round, and their mean rewards. Its T picks are one draw of T
+    integers, which equals the episode's T single draws."""
     seq = _episode_streams(config.base_seed, 0)
-    actions = np.empty((config.T, config.d))
-    for t, aset in zip(range(config.T), _action_sets(config, seq.actions)):
-        actions[t] = aset.actions[int(seq.policy.integers(config.K))]
+    picks = seq.policy.integers(config.K, size=config.T)
+    if config.action_mode == "fixed_basis":
+        actions = np.eye(config.d)[picks]
+    else:
+        actions = np.empty((config.T, config.d))
+        n = action_block_rounds(config.d, config.K)
+        for start, block in zip(range(0, config.T, n),
+                                action_blocks(seq.actions, config.d, config.K)):
+            picked = picks[start:start + n]
+            actions[start:start + n] = block[np.arange(picked.size), picked]
     return actions, actions @ config.resolve_theta
 
 
-def _lockstep_replications(config: ExperimentConfig, actions: np.ndarray,
-                           means: np.ndarray, n_reps: int):
-    """Play ``actions`` once for all replications together.
+#: rounds whose checks ``concentration_coverage`` computes together; a
+#: divisor of OUTCOME_BLOCK_ROUNDS
+CHECK_BLOCK_ROUNDS = 128
 
-    Yields ``(est, B)`` before each round's action: ``est`` is the one
-    estimator of the shared design, and row ``rep`` of the (n_reps, d)
-    array ``B`` is replication ``rep``'s credited sum. After the last
-    yield, round T is played too. Replication ``rep`` draws its rewards
-    and delays from the streams of run ``rep`` of ``base_seed + 1``, in
-    the episodes' blocks, and its conversions are credited through the
-    estimator's window rule. Conversions are queued round by round, so a
-    replication holds one block of draws (about 16 KB) and its
+
+def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.ndarray,
+                     n_reps: int):
+    """Play ``actions`` once for all replications together, in blocks of
+    ``CHECK_BLOCK_ROUNDS`` rounds.
+
+    For the block of rounds ``t0 .. t0 + k - 1`` it yields ``(t0, radii,
+    Vs, V_invs, Bs)``, one entry per round along the first axis, each taken
+    before that round's action: twice the exploration radius, ``V`` and
+    ``V_inv`` of the one estimator of the shared design, and the (n_reps,
+    d) credited sums of all replications. The next block overwrites
+    ``radii``, ``Vs`` and ``V_invs``. Python runs once per round only for
+    the estimator's update; conversions are scheduled and credited a block
+    at a time. Replication ``rep`` draws its rewards and delays from the
+    streams of run ``rep`` of ``base_seed + 1``, in the episodes' blocks,
+    and its conversions are credited by the estimator's window rule. A
+    replication holds one block of draws (about 16 KB) and its credited
     conversions in flight, whatever the horizon.
     """
-    T = config.T
-    est = WindowedEstimator(config.d, config.lam, config.episode_window)
-    B = np.zeros((n_reps, config.d))
+    T, d, n = config.T, config.d, CHECK_BLOCK_ROUNDS
+    est = WindowedEstimator(d, config.lam, config.episode_window)
     streams = [_episode_streams(config.base_seed + 1, rep) for rep in range(n_reps)]
-    # one block of every replication's draws, refilled every block of rounds
+    reps = np.arange(n_reps)
+    # one outcome block of every replication's draws, refilled every
+    # OUTCOME_BLOCK_ROUNDS rounds
     uniforms = np.empty((n_reps, OUTCOME_BLOCK_ROUNDS))
     delays = np.empty((n_reps, OUTCOME_BLOCK_ROUNDS), dtype=np.int64)
-    # reveal round -> (rep, round) pairs of the conversions revealed then
-    reveal: dict[int, list] = {}
-    for t in range(1, T + 1):
-        j = (t - 1) % OUTCOME_BLOCK_ROUNDS
+    B = np.zeros((n_reps, d))
+    # credited conversions in flight, in round order: (reveal round, round,
+    # rep) columns
+    pending = np.empty((3, 0), dtype=np.int64)
+    radii, Vs, V_invs = np.empty(n), np.empty((n, d, d)), np.empty((n, d, d))
+    for t0 in range(1, T + 1, n):
+        j = (t0 - 1) % OUTCOME_BLOCK_ROUNDS
         if j == 0:
-            for rep, s in enumerate(streams):
+            for rep, stream in enumerate(streams):
                 uniforms[rep], delays[rep] = outcome_block(config.resolved_delay,
-                                                           s.rewards, s.delays)
-        yield est, B
-        est.record_action(actions[t - 1])
-        reps = np.flatnonzero(uniforms[:, j] < means[t - 1])
-        for rep, when in zip(reps.tolist(), (delays[reps, j] + t).tolist()):
-            if when <= T:  # a later reveal reaches no check
-                reveal.setdefault(when, []).append((rep, t))
-        for rep, s in reveal.pop(t, ()):
-            if est.in_window(s):
-                B[rep] += actions[s - 1]
+                                                           stream.rewards, stream.delays)
+        k = min(n, T + 1 - t0)
+        for i, a in enumerate(actions[t0 - 1:t0 - 1 + k]):
+            radii[i] = 2.0 * est.exploration_radius(config.delta)
+            Vs[i], V_invs[i] = est.V, est.V_inv
+            est.record_action(a)
+        # the block's conversions in round order, then replication order;
+        # a delay clipped at T reveals after the horizon all the same, and
+        # the reveal round cannot overflow
+        s, rep = np.nonzero((uniforms[:, j:j + k] < means[t0 - 1:t0 - 1 + k]).T)
+        delay = delays[rep, j + s]
+        s += t0
+        w = s + np.minimum(delay, T)
+        new = np.stack([w, s, rep])[:, (w <= T) & est.credited(s, w, est.m)]
+        pending = np.concatenate([pending, new], axis=1)
+        due = pending[0] < t0 + k
+        revealed, pending = pending[:, due], pending[:, ~due]
+        # row rep of sums: its B, then its credits by reveal round, then by
+        # round (a stable sort of the round order); one cumulative sum adds
+        # them one at a time, as B[rep] += a would
+        w, s, rep = revealed[:, np.lexsort((revealed[0], revealed[2]))]
+        counts = np.bincount(rep, minlength=n_reps)
+        sums = np.zeros((n_reps, counts.max() + 1, d))
+        sums[:, 0] = B
+        slot = np.arange(rep.size) - (np.cumsum(counts) - counts)[rep] + 1
+        sums[rep, slot] = actions[s - 1]
+        sums = np.cumsum(sums, axis=1)
+        # seen[i, rep]: rep's credits revealed by the end of round t0 + i - 1
+        seen = np.bincount((w - t0 + 1) * n_reps + rep, minlength=(k + 1) * n_reps)
+        seen = np.cumsum(seen.reshape(k + 1, n_reps), axis=0)
+        B = sums[reps, counts]
+        yield t0, radii[:k], Vs[:k], V_invs[:k], sums[reps, seen[:k]]
 
 
 def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
@@ -467,34 +512,46 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
     random policy plays in run 0 of ``base_seed``. Every replication plays
     it, so all share one design matrix and advance together; each keeps
     only its credited sum and its own rewards and delays (see
-    ``_lockstep_replications``). At every selection time each live
-    replication checks that its windowed estimate deviates from the
-    window-scaled true parameter (in the design-matrix norm) by no more
-    than the confidence width, the one OTFLinUCB selects with. Coverage
-    counts replications where the check holds simultaneously for all
-    rounds. The width is twice the exploration radius plus a window
-    penalty that is never negative, so a deviation within twice the radius
-    passes without the penalty, which is computed once in a round where
-    some live deviation is above it.
+    ``_lockstep_blocks``). At every selection time each live replication
+    checks that its windowed estimate deviates from the window-scaled true
+    parameter (in the design-matrix norm) by no more than the confidence
+    width, the one OTFLinUCB selects with. Coverage counts replications
+    where the check holds simultaneously for all rounds.
+
+    A block's deviations are computed at once. The width is twice the
+    exploration radius plus a window penalty that is never negative, so a
+    deviation within twice the radius passes without the penalty. Only the
+    rounds where some live deviation is above it are walked, and their
+    width is that of a second estimator fed the same actions up to that
+    round. Checking stops after the block in which the last replication
+    fails.
     """
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
     actions, means = _coverage_sequence(config)
     target = config.tau_m * config.resolve_theta
+    replay = WindowedEstimator(config.d, config.lam, config.episode_window)
     live = np.ones(n_reps, dtype=bool)
     penalty_checks, max_ratio = 0, 0.0
-    for est, B in _lockstep_replications(config, actions, means, n_reps):
-        radius = 2.0 * est.exploration_radius(config.delta)
-        # V_inv is exactly symmetric, so row i of E is estimate_i - target
-        E = B @ est.V_inv
+    for t0, radii, Vs, V_invs, Bs in _lockstep_blocks(config, actions, means, n_reps):
+        # V_inv is exactly symmetric, so E[i, rep] is estimate - target
+        E = Bs @ V_invs
         E -= target
-        lhs = np.sqrt(np.maximum(np.einsum("ij,ij->i", E @ est.V, E), 0.0))
-        peak = float(lhs.max(where=live, initial=0.0))
-        max_ratio = max(max_ratio, peak / radius)
-        if peak > radius:  # some live deviation needs the window penalty
-            penalty_checks += int(np.count_nonzero((lhs > radius) & live))
+        lhs = np.sqrt(np.maximum(np.einsum("nij,nij->ni", E @ Vs, E), 0.0))
+        above = lhs > radii[:, None]
+        alive = np.repeat(live[None], radii.size, axis=0)  # live at each round
+        for i in np.flatnonzero((above & live).any(axis=1)).tolist():
+            checks = int(np.count_nonzero(above[i] & live))
+            if checks == 0:  # those replications failed earlier in the block
+                continue
+            penalty_checks += checks
+            while replay.t < t0 + i:
+                replay.record_action(actions[replay.t - 1])
             # the width is at least twice the radius: only those above it fail
-            live[lhs > est.confidence_width(config.delta)] = False
-            if not live.any():
-                break
+            live[lhs[i] > replay.confidence_width(config.delta)] = False
+            alive[i + 1:] = live
+        peaks = lhs.max(axis=1, where=alive, initial=0.0)
+        max_ratio = max(max_ratio, float((peaks / radii).max()))
+        if not live.any():
+            break
     return Coverage(int(np.count_nonzero(live)) / n_reps, penalty_checks, max_ratio)

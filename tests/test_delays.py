@@ -165,6 +165,13 @@ class TestLognormal:
         draws = LognormalDelay(0.0, 2.0).sample_n(rng, 10_000)
         assert draws.min() >= 0
 
+    def test_delays_past_int64_are_clipped_not_wrapped(self):
+        # exp(50) is about 5e21 rounds: cast to int64 unclipped, each draw
+        # wraps to -2**63 with a RuntimeWarning (an error under pytest here)
+        draws = LognormalDelay(50.0, 1.2).sample_n(np.random.default_rng(0), 5)
+        assert draws.dtype == np.int64
+        assert draws.min() >= 2**62
+
     def test_cdf_matches_monte_carlo(self):
         dist = LognormalDelay(3.0, 1.0)
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 """Harness: config handling, episodes, batches, coverage, CSV round-trips."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -7,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delayed_bandits import bounds, estimator, harness
 from delayed_bandits.bounds import regret_upper_bound
@@ -567,7 +570,8 @@ class TestConcentrationCoverage:
 
     def test_stops_once_every_replication_has_failed(self, monkeypatch):
         # at 1e-12 of the radius every replication fails in round 1, before
-        # any action is recorded, and no later round is played
+        # any action is recorded, so only the first block of rounds is
+        # played, out of four
         def tiny(n, d, lam, delta):
             return 1e-12 * bounds.exploration_radius_at(n, d, lam, delta)
 
@@ -576,8 +580,10 @@ class TestConcentrationCoverage:
         record = WindowedEstimator.record_action
         monkeypatch.setattr(WindowedEstimator, "record_action",
                             lambda est, a: calls.append(a) or record(est, a))
-        assert concentration_coverage(TENTH_RADIUS, 5).coverage == 0.0
-        assert calls == []
+        config = replace(TENTH_RADIUS, T=400)
+        assert config.T > 3 * harness.CHECK_BLOCK_ROUNDS
+        assert concentration_coverage(config, 5).coverage == 0.0
+        assert len(calls) <= harness.CHECK_BLOCK_ROUNDS
 
     def test_window_penalty_decides_a_long_fixed_delay(self):
         # every conversion arrives exactly m rounds late, so the estimate
@@ -606,11 +612,16 @@ class TestConcentrationCoverage:
 
     def test_lockstep_sums_match_per_replication_estimators(self):
         # past one block of outcomes; with m = 40 against a mean delay of
-        # 20, some conversions are credited and some arrive too late
+        # 20, some conversions are credited and some arrive too late. Every
+        # round's V, V_inv and credited sums, before its action, have the
+        # bits of one estimator per replication
         config = ExperimentConfig(T=1100, delay_mean=20.0, m=40, base_seed=5)
         actions, means = harness._coverage_sequence(config)
-        for est, B in harness._lockstep_replications(config, actions, means, 3):
-            pass
+        blocks = [(t0, Vs.copy(), V_invs.copy(), Bs) for t0, _, Vs, V_invs, Bs
+                  in harness._lockstep_blocks(config, actions, means, 3)]
+        assert [t0 for t0, *_ in blocks] == list(range(1, 1101, 128))
+        Vs, V_invs, Bs = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
+        assert Bs.shape == (1100, 3, config.d)
         for rep in range(3):
             streams = harness._episode_streams(config.base_seed + 1, rep)
             outcomes = round_outcomes(config.resolved_delay, streams.rewards,
@@ -619,6 +630,9 @@ class TestConcentrationCoverage:
             reveal = {}
             credited = revealed = 0
             for (t, a), (u, d) in zip(enumerate(actions, start=1), outcomes):
+                assert Bs[t - 1, rep].tobytes() == single.B.tobytes()
+                assert Vs[t - 1].tobytes() == single.V.tobytes()
+                assert V_invs[t - 1].tobytes() == single.V_inv.tobytes()
                 single.record_action(a)
                 if u < means[t - 1]:
                     reveal.setdefault(t + d, []).append(t)
@@ -627,9 +641,63 @@ class TestConcentrationCoverage:
                     revealed += 1
                     single.record_conversion(s)
             assert 0 < credited < revealed
-            assert B[rep].tobytes() == single.B.tobytes()
-        assert est.V.tobytes() == single.V.tobytes()
-        assert est.V_inv.tobytes() == single.V_inv.tobytes()
+
+    def test_batched_products_keep_the_per_round_bits(self):
+        # a block's deviations are (n, R, d) @ (n, d, d) products and one
+        # einsum; each round's slice must have the bits of the (R, d) @
+        # (d, d) product and einsum of a round-by-round check
+        rng = np.random.default_rng(7)
+        for d, R in itertools.product(range(1, 6), (1, 2, 7, 40)):
+            Bs = rng.random((9, R, d))
+            Vs = rng.random((9, d, d))
+            Vs = Vs + Vs.transpose(0, 2, 1)
+            V_invs = np.linalg.inv(Vs)
+            E = Bs @ V_invs
+            q = np.einsum("nij,nij->ni", E @ Vs, E)
+            for i in range(9):
+                e = Bs[i] @ V_invs[i]
+                assert E[i].tobytes() == e.tobytes()
+                assert q[i].tobytes() == np.einsum("ij,ij->i", e @ Vs[i], e).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), K=st.integers(1, 6), T=st.integers(1, 400),
+           window=st.sampled_from(["0", "1", "3", "T", "T+"]),
+           delay=st.sampled_from(["fixed 0", "fixed 1", "fixed m", "geometric"]),
+           mean=st.floats(0.5, 60.0), scale=st.sampled_from([1.0, 0.3, 0.1, 1e-12]),
+           n_reps=st.integers(1, 7), seed=st.integers(0, 10_000))
+    # two of the seven replications fail
+    @example(d=2, K=4, T=300, window="3", delay="geometric", mean=5.0, scale=0.1,
+             n_reps=7, seed=6)
+    def test_matches_a_full_width_loop(self, d, K, T, window, delay, mean, scale,
+                                       n_reps, seed):
+        m = {"0": 0, "1": 1, "3": 3, "T": T, "T+": T + 17}[window]
+        if delay == "geometric":
+            values = {"delay": "geometric", "delay_mean": mean}
+        else:
+            values = {"delay": "fixed", "delay_value": m if delay == "fixed m"
+                      else int(delay[-1])}
+        config = ExperimentConfig(d=d, K=K, T=T, m=m, base_seed=seed, **values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "exploration_radius_at",
+                          lambda n, d, lam, delta:
+                          scale * bounds.exploration_radius_at(n, d, lam, delta))
+            want, penalty_decided = full_width_coverage(config, n_reps)
+            got = concentration_coverage(config, n_reps)
+        assert got.coverage == want
+        if want == 1.0:
+            assert got.penalty_checks == penalty_decided
+
+    @pytest.mark.parametrize("values", [
+        {"delay": "lognormal", "delay_log_mean": 50.0, "m": 20},
+        {"delay": "fixed", "delay_value": 2**63 - 1, "m": 20},
+    ])
+    def test_delays_past_any_horizon_match_a_full_width_loop(self, values):
+        # no conversion is revealed; reveal rounds must not wrap around
+        config = ExperimentConfig(d=3, K=5, T=300, base_seed=1, **values)
+        want, penalty_decided = full_width_coverage(config, 4)
+        got = concentration_coverage(config, 4)
+        assert got.coverage == want
+        assert got.penalty_checks == penalty_decided
 
 
 # the config of the tenth-radius tests (see the tenth_radius fixture)
@@ -795,6 +863,15 @@ class TestRandomnessLayout:
                   for kind in ("geometric", "fixed", "empirical", "lognormal")]
         for trace in traces[1:]:
             assert trace.cum_regret.tobytes() == traces[0].cum_regret.tobytes()
+
+    @pytest.mark.parametrize("K", [1, 10, 100])
+    def test_one_draw_of_n_picks_equals_n_single_draws(self, K):
+        # coverage draws the random policy's T picks in one call, the
+        # episode one per round
+        at_once, one_by_one = np.random.default_rng(K), np.random.default_rng(K)
+        picks = at_once.integers(K, size=3001)
+        assert picks.tolist() == [int(one_by_one.integers(K)) for _ in range(3001)]
+        assert at_once.bit_generator.state == one_by_one.bit_generator.state
 
     def test_coverage_plays_the_random_policy_s_first_run(self, monkeypatch):
         played = []

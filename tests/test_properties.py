@@ -98,6 +98,22 @@ def test_ring_window_matches_deque_model_across_reinversion():
         check_against_model(m, 1200, seed=m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 12), n=st.integers(0, 40))
+def test_window_rule_is_the_ring(m, n):
+    # in every state (n actions recorded), for rounds before the first and
+    # past the last too, the rule credits exactly the rounds in the ring,
+    # t - size <= s < t, asked through in_window or on arrays with the
+    # estimator's m
+    est = WindowedEstimator(1, 1.0, m)
+    for _ in range(n):
+        est.record_action(np.ones(1))
+    rounds = np.arange(-m - 3, est.t + m + 3)
+    ring = (est.t - est._size <= rounds) & (rounds < est.t)
+    assert [est.in_window(int(s)) for s in rounds] == ring.tolist()
+    assert np.array_equal(WindowedEstimator.credited(rounds, est.t - 1, est.m), ring)
+
+
 def action_stream(rng, T, d, collinear):
     """Unit-ball actions, or unit rows of e1 + 1e-6 noise (near-collinear)."""
     if not collinear:
