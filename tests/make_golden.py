@@ -6,9 +6,11 @@ Usage: PYTHONPATH=src python tests/make_golden.py
 For presets A-D and each policy kind, runs 0 and 1 of base seed 0 are played
 at a horizon of ``T`` rounds, which goes past the first outcome block. Each
 run keeps its cumulative regret at every ``EVERY``-th round and at round
-``T``, and its elliptical potential. For A-D at the preset's own horizon,
-and for ``LONG_DELAY``, it also keeps the three ``Coverage`` fields of
-``concentration_coverage`` with ``REPS`` replications. A change that moves
+``T``, and its elliptical potential. ``K_ARMED_HARD``, the
+fixed-basis hard instance, is played the same way. For A-D at the preset's
+own horizon, for ``LONG_DELAY`` and for ``K_ARMED_HARD``, it also keeps the
+three ``Coverage`` fields of ``concentration_coverage`` with ``REPS``
+replications. A change that moves
 outputs on purpose regenerates the file with this script and says why.
 """
 
@@ -33,22 +35,29 @@ REPS = 4
 # thousands of checks
 LONG_DELAY = ExperimentConfig(d=2, K=10, T=3000, delay="geometric", delay_mean=1000.0,
                               m=2000)
+# the K-armed hard instance on the standard basis, whose actions are the
+# same every round
+K_ARMED_HARD = dict(d=6, K=6, T=T, theta="k_armed_hard", hard_gap=0.15,
+                    action_mode="fixed_basis", delay_mean=30.0, m=60)
 
 
 def golden_values() -> dict:
     """Every value the golden file holds, computed by the current code."""
     rounds = sorted({*range(EVERY, T + 1, EVERY), T})
     episodes, coverage = {}, {}
-    for preset in PRESET_NAMES:
+    cases = [(preset, {}, preset) for preset in PRESET_NAMES]
+    cases.append(("k_armed_hard", K_ARMED_HARD, None))
+    for name, values, preset in cases:
         for policy in POLICIES:
-            config = replace(build_config({"policy": policy}, preset), T=T, base_seed=0)
+            config = replace(build_config({**values, "policy": policy}, preset), T=T,
+                             base_seed=0)
             for run in RUNS:
                 trace = run_episode(config, run)
-                episodes[f"{preset}/{policy}/{run}"] = {
+                episodes[f"{name}/{policy}/{run}"] = {
                     "cum_regret": [float(trace.cum_regret[t - 1]) for t in rounds],
                     "elliptical_potential": float(trace.elliptical_potential),
                 }
-        coverage[preset] = concentration_coverage(build_config({}, preset), REPS)._asdict()
+        coverage[name] = concentration_coverage(build_config(values, preset), REPS)._asdict()
     coverage["long_delay"] = concentration_coverage(LONG_DELAY, REPS)._asdict()
     return {"rng_layout": RNG_LAYOUT, "T": T, "rounds": rounds, "reps": REPS,
             "episodes": episodes, "coverage": coverage}
