@@ -14,6 +14,7 @@ The undelayed LinUCB oracle is OTFLinUCB under the config values
 
 from .bounds import (
     bernoulli_kl,
+    elliptical_potential_bound,
     minimax_lower_bound,
     regret_upper_bound,
     tuned_minimax_lower_bound,
@@ -42,7 +43,6 @@ from .harness import (
     SummaryStats,
     build_config,
     concentration_coverage,
-    elliptical_potential_bound,
     run_batch,
     run_episode,
     summarize,

@@ -11,6 +11,7 @@ import math
 
 __all__ = [
     "exploration_radius_at",
+    "elliptical_potential_bound",
     "regret_upper_bound",
     "bernoulli_kl",
     "minimax_lower_bound",
@@ -26,6 +27,11 @@ def exploration_radius_at(n: int, d: int, lam: float, delta: float) -> float:
     return math.sqrt(lam) + math.sqrt(
         2.0 * math.log(1.0 / delta) + d * math.log((dl + n) / dl)
     )
+
+
+def elliptical_potential_bound(d: int, lam: float, T: int) -> float:
+    """Deterministic cap on the summed squared pre-update action norms."""
+    return 2.0 * d * math.log((d * lam + T) / (d * lam))
 
 
 def regret_upper_bound(T: int, d: int, lam: float, delta: float, m: int,

@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="evaluate the regret upper bound")
     bounds.add_argument("--T", type=int, required=True)
     bounds.add_argument("--d", type=int, required=True)
-    bounds.add_argument("--K", type=int, default=None,
-                        help="action count (echoed in the output only)")
     bounds.add_argument("--lambda", dest="lam", type=float, default=1.0)
     bounds.add_argument("--delta", type=float, default=0.05)
     bounds.add_argument("--m", type=int, required=True)
@@ -111,8 +109,6 @@ def _cmd_bounds(args) -> int:
                                           args.m, args.tau)
     print(f"T = {args.T}")
     print(f"d = {args.d}")
-    if args.K is not None:
-        print(f"K = {args.K}")
     print(f"lambda = {args.lam}")
     print(f"delta = {args.delta}")
     print(f"m = {args.m}")

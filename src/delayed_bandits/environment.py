@@ -10,7 +10,7 @@ so a missing signal never distinguishes "no conversion" from "not yet".
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +122,10 @@ def action_blocks(rng: np.random.Generator, d: int, K: int) -> Iterator[np.ndarr
         yield generate_action_set(rng, d, K, n)
 
 
-def action_sets(rng: np.random.Generator, d: int, K: int) -> Iterator[ActionSet]:
-    """Every round's action set, from ``action_blocks``."""
-    for block in action_blocks(rng, d, K):
+def action_sets(blocks: Iterable[np.ndarray]) -> Iterator[ActionSet]:
+    """Every round's action set, from (n, K, d) blocks of validated actions
+    such as ``action_blocks``'s."""
+    for block in blocks:
         for actions in block:
             yield ActionSet._from_validated(actions)
 

@@ -31,7 +31,6 @@ from .delays import (
     recommended_window,
 )
 from .environment import (
-    ActionSet,
     NORM_TOL,
     OUTCOME_BLOCK_ROUNDS,
     DelayedBanditEnv,
@@ -57,7 +56,6 @@ __all__ = [
     "summarize",
     "Coverage",
     "concentration_coverage",
-    "elliptical_potential_bound",
 ]
 
 # each kind's own keys, in metadata order; a delay kind's keys are also the
@@ -330,11 +328,6 @@ def build_config(values: dict, preset: Optional[str] = None) -> ExperimentConfig
     return ExperimentConfig(**parsed)
 
 
-def elliptical_potential_bound(d: int, lam: float, T: int) -> float:
-    """Deterministic cap on the summed squared pre-update action norms."""
-    return 2.0 * d * math.log((d * lam + T) / (d * lam))
-
-
 # The randomness layout, written to metadata.txt: one child stream per
 # source, spawned in the order of EpisodeStreams, and the environment's
 # block rules. Any change to either moves outputs, so it takes a new number.
@@ -355,11 +348,15 @@ def _episode_streams(base_seed: int, run_index: int) -> EpisodeStreams:
     return EpisodeStreams(*(np.random.default_rng(child) for child in children))
 
 
-def _action_sets(config: ExperimentConfig, rng: np.random.Generator):
-    """Every round's action set: the standard basis, or drawn from ``rng``."""
+def _action_blocks(config: ExperimentConfig, rng: np.random.Generator):
+    """Every round's actions, as (n, K, d) blocks of ``action_block_rounds(d,
+    K)`` rounds: the standard basis repeated (a read-only view), or drawn from
+    ``rng`` by ``action_blocks``. Episodes and coverage take their actions
+    from here only."""
     if config.action_mode == "fixed_basis":
-        return itertools.repeat(ActionSet(np.eye(config.d)))
-    return action_sets(rng, config.d, config.K)
+        n = action_block_rounds(config.d, config.K)
+        return itertools.repeat(np.broadcast_to(np.eye(config.d), (n, config.K, config.d)))
+    return action_blocks(rng, config.d, config.K)
 
 
 def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
@@ -370,7 +367,8 @@ def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     policy = Policy(config)
     trace = np.empty(config.T)
     cum = 0.0
-    for t, aset in zip(range(1, config.T + 1), _action_sets(config, streams.actions)):
+    for t, aset in zip(range(1, config.T + 1),
+                       action_sets(_action_blocks(config, streams.actions))):
         idx = policy.select(aset.actions, streams.policy)
         chosen = aset.actions[idx]
         policy.observe([ev.round_index for ev in env.step(idx, aset)], chosen)
@@ -418,15 +416,11 @@ def _coverage_sequence(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray
     integers, which equals the episode's T single draws."""
     seq = _episode_streams(config.base_seed, 0)
     picks = seq.policy.integers(config.K, size=config.T)
-    if config.action_mode == "fixed_basis":
-        actions = np.eye(config.d)[picks]
-    else:
-        actions = np.empty((config.T, config.d))
-        n = action_block_rounds(config.d, config.K)
-        for start, block in zip(range(0, config.T, n),
-                                action_blocks(seq.actions, config.d, config.K)):
-            picked = picks[start:start + n]
-            actions[start:start + n] = block[np.arange(picked.size), picked]
+    actions = np.empty((config.T, config.d))
+    n = action_block_rounds(config.d, config.K)
+    for start, block in zip(range(0, config.T, n), _action_blocks(config, seq.actions)):
+        picked = picks[start:start + n]
+        actions[start:start + n] = block[np.arange(picked.size), picked]
     return actions, actions @ config.resolve_theta
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from delayed_bandits.bounds import (
     bernoulli_kl,
+    elliptical_potential_bound,
     regret_upper_bound,
     tuned_minimax_lower_bound,
 )
@@ -22,7 +23,6 @@ from delayed_bandits.harness import (
     ExperimentConfig,
     build_config,
     concentration_coverage,
-    elliptical_potential_bound,
     run_batch,
 )
 from delayed_bandits.io import write_traces_csv

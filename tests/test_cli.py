@@ -257,8 +257,7 @@ class TestRun:
 
 class TestBounds:
     def test_prints_value(self, capsys):
-        code = main(["bounds", "--T", "3000", "--d", "5", "--K", "10",
-                     "--lambda", "1.0", "--delta", "0.05", "--m", "100",
+        code = main(["bounds", "--T", "3000", "--d", "5", "--lambda", "1.0", "--delta", "0.05", "--m", "100",
                      "--tau", "0.634"])
         assert code == 0
         out = capsys.readouterr().out

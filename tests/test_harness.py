@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayed_bandits import bounds, estimator, harness
-from delayed_bandits.bounds import regret_upper_bound
+from delayed_bandits.bounds import elliptical_potential_bound, regret_upper_bound
 from delayed_bandits.delays import FixedDelay, GeometricDelay, LognormalDelay
 from delayed_bandits import environment
 from delayed_bandits.environment import (ActionSet, DelayedBanditEnv, action_sets,
@@ -25,7 +25,6 @@ from delayed_bandits.harness import (
     ExperimentConfig,
     build_config,
     concentration_coverage,
-    elliptical_potential_bound,
     run_batch,
     run_episode,
     summarize,
@@ -345,7 +344,7 @@ class TestRunEpisode:
         env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
                                streams.rewards, streams.delays)
         policy = Policy(config)
-        sets = action_sets(streams.actions, config.d, config.K)
+        sets = action_sets(harness._action_blocks(config, streams.actions))
         total = 0.0
         for t in range(1, config.T + 1):
             aset = next(sets)
@@ -664,18 +663,26 @@ class TestConcentrationCoverage:
            window=st.sampled_from(["0", "1", "3", "T", "T+"]),
            delay=st.sampled_from(["fixed 0", "fixed 1", "fixed m", "geometric"]),
            mean=st.floats(0.5, 60.0), scale=st.sampled_from([1.0, 0.3, 0.1, 1e-12]),
-           n_reps=st.integers(1, 7), seed=st.integers(0, 10_000))
-    # two of the seven replications fail
+           n_reps=st.integers(1, 7), seed=st.integers(0, 10_000), basis=st.booleans())
+    # two of the seven replications fail, with drawn actions and on the
+    # standard basis
     @example(d=2, K=4, T=300, window="3", delay="geometric", mean=5.0, scale=0.1,
-             n_reps=7, seed=6)
+             n_reps=7, seed=6, basis=False)
+    @example(d=2, K=2, T=300, window="3", delay="geometric", mean=5.0, scale=0.1,
+             n_reps=7, seed=2, basis=True)
     def test_matches_a_full_width_loop(self, d, K, T, window, delay, mean, scale,
-                                       n_reps, seed):
+                                       n_reps, seed, basis):
         m = {"0": 0, "1": 1, "3": 3, "T": T, "T+": T + 17}[window]
-        if delay == "geometric":
-            values = {"delay": "geometric", "delay_mean": mean}
+        if basis:
+            values = {"action_mode": "fixed_basis"}
+            K = d
         else:
-            values = {"delay": "fixed", "delay_value": m if delay == "fixed m"
-                      else int(delay[-1])}
+            values = {}
+        if delay == "geometric":
+            values.update(delay="geometric", delay_mean=mean)
+        else:
+            values.update(delay="fixed", delay_value=m if delay == "fixed m"
+                          else int(delay[-1]))
         config = ExperimentConfig(d=d, K=K, T=T, m=m, base_seed=seed, **values)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimator, "exploration_radius_at",
@@ -689,6 +696,8 @@ class TestConcentrationCoverage:
 
     @pytest.mark.parametrize("values", [
         {"delay": "lognormal", "delay_log_mean": 50.0, "m": 20},
+        # m = auto is about 2.1e22 rounds; an episode's window is T
+        {"delay": "lognormal", "delay_log_mean": 50.0},
         {"delay": "fixed", "delay_value": 2**63 - 1, "m": 20},
     ])
     def test_delays_past_any_horizon_match_a_full_width_loop(self, values):
@@ -716,11 +725,13 @@ def tenth_radius(monkeypatch):
 
 def full_width_coverage(config, n_reps):
     """Coverage with the full width computed at every check, and the number of
-    passed checks whose deviation exceeded twice the exploration radius."""
+    passed checks whose deviation exceeded twice the exploration radius.
+    The actions are the random policy's in run 0, drawn one round at a time
+    as in ``run_episode``, and each replication has an episode's estimator."""
     theta, delay = config.resolve_theta, config.resolved_delay
     target = config.tau_m * theta
     seq = harness._episode_streams(config.base_seed, 0)
-    sets = action_sets(seq.actions, config.d, config.K)
+    sets = action_sets(harness._action_blocks(config, seq.actions))
     actions = np.empty((config.T, config.d))
     for i in range(config.T):
         aset = next(sets)
@@ -730,7 +741,7 @@ def full_width_coverage(config, n_reps):
     for rep in range(n_reps):
         streams = harness._episode_streams(config.base_seed + 1, rep)
         outcomes = round_outcomes(delay, streams.rewards, streams.delays)
-        est = WindowedEstimator(config.d, config.lam, config.resolved_window)
+        est = WindowedEstimator(config.d, config.lam, config.episode_window)
         reveal = {}
         covered = True
         for (t, a), (u, d) in zip(enumerate(actions, start=1), outcomes):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from delayed_bandits.environment import ActionSet, DelayedBanditEnv, action_sets
+from delayed_bandits.environment import (ActionSet, DelayedBanditEnv, action_blocks,
+                                         action_sets)
 from delayed_bandits.delays import FixedDelay
 from delayed_bandits.harness import ORACLE, ExperimentConfig, _episode_streams
 from delayed_bandits.policies import Policy
@@ -218,7 +219,7 @@ class TestDeterminism:
             streams = _episode_streams(seed, 0)
             env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), config.resolved_delay,
                                    streams.rewards, streams.delays)
-            sets = action_sets(streams.actions, 3, 6)
+            sets = action_sets(action_blocks(streams.actions, 3, 6))
             chosen_indices = []
             for _ in range(120):
                 aset = next(sets)

@@ -13,7 +13,8 @@ from delayed_bandits.environment import (
     action_sets, generate_action_set)
 from delayed_bandits.estimator import WindowedEstimator
 from delayed_bandits.harness import (ORACLE, ConfigError, ExperimentConfig,
-                                     _episode_streams, build_config, run_episode)
+                                     _action_blocks, _episode_streams, build_config,
+                                     run_episode)
 from delayed_bandits.policies import Policy
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -246,7 +247,7 @@ def test_episode_potential_sums_pre_update_norms(seed, T, policy):
     env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
                            streams.rewards, streams.delays)
     player = Policy(config)
-    sets = action_sets(streams.actions, config.d, config.K)
+    sets = action_sets(_action_blocks(config, streams.actions))
     played = []
     for _ in range(T):
         aset = next(sets)
