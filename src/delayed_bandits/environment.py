@@ -51,7 +51,7 @@ class ActionSet:
         if arr.shape[0] < 1:
             raise ValueError("action set must contain at least one action")
         norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms > 1.0 + NORM_TOL):
+        if not np.all(norms <= 1.0 + NORM_TOL):  # NaN fails too
             raise ValueError(f"action norm exceeds 1: max {norms.max():.12f}")
         object.__setattr__(self, "actions", arr)
 
@@ -173,7 +173,7 @@ class DelayedBanditEnv:
         whose delay elapses this round (a zero delay reveals immediately).
         """
         means = action_set.actions @ self.theta
-        if means.min() < -NORM_TOL or means.max() > 1.0 + NORM_TOL:
+        if not (means.min() >= -NORM_TOL and means.max() <= 1.0 + NORM_TOL):  # NaN fails too
             raise ValueError(
                 f"mean reward out of range [0, 1]: min {means.min():.6g}, "
                 f"max {means.max():.6g}"

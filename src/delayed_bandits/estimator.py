@@ -16,12 +16,19 @@ import numpy as np
 
 from .bounds import exploration_radius_at
 
-__all__ = ["WindowedEstimator"]
+__all__ = ["WindowedEstimator", "norms"]
 
 # Re-invert from scratch whenever the rank-one updated inverse drifts past
-# this, and unconditionally every _REINVERT_PERIOD updates.
+# this (or goes NaN), and unconditionally every _REINVERT_PERIOD updates.
 _FIDELITY_TOL = 1e-8
 _REINVERT_PERIOD = 1000
+
+
+def norms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Ellipsoid norms sqrt(x^T M x) of the rows x of ``A``, (k, d) under one
+    (d, d) ``M`` or (n, k, d) under (n, d, d) ``M``s; a square that rounds
+    below 0 is clipped."""
+    return np.sqrt(np.maximum(np.einsum("...i,...i->...", A @ M, A), 0.0))
 
 
 class WindowedEstimator:
@@ -71,8 +78,8 @@ class WindowedEstimator:
         a = np.asarray(a, dtype=float)
         if a.shape != (self.d,):
             raise ValueError(f"action shape {a.shape} does not match d={self.d}")
-        if a @ a > 1.0 + 1e-6:
-            raise ValueError("action norm exceeds 1")
+        if not a @ a <= 1.0 + 1e-6:  # NaN fails too
+            raise ValueError("action norm exceeds 1 or is not finite")
         # a[:, None] * a is the product np.outer(a, a) forms, without its
         # wrapper's reshaping passes
         self.V += a[:, None] * a
@@ -82,7 +89,7 @@ class WindowedEstimator:
         sq = float(a @ u)
         self.potential += sq
         self.V_inv -= u[:, None] * u / (1.0 + sq)
-        if self.t % _REINVERT_PERIOD == 0 or self._inverse_error() > _FIDELITY_TOL:
+        if self.t % _REINVERT_PERIOD == 0 or not self._inverse_error() <= _FIDELITY_TOL:
             self._reinvert()
         slot = (self.t - 1) % self._rows
         self._actions[slot] = a
@@ -130,20 +137,15 @@ class WindowedEstimator:
         design matrix: one product of the ring with ``V_inv`` per call."""
         if self._size == 0:
             return 0.0
-        q = self.sq_norms(self._actions[:self._size])
-        norms = np.sqrt(np.maximum(q, 0.0))
+        ring = norms(self._actions[:self._size], self.V_inv)
         if self._size > self.m:  # the oldest ring round is past the penalty
-            norms[(self.t - 1 - self._size) % self._rows] = 0.0
-        return float(norms.sum())
+            ring[(self.t - 1 - self._size) % self._rows] = 0.0
+        return float(ring.sum())
 
     def confidence_width(self, delta: float) -> float:
         """Full confidence-ellipsoid radius: twice the exploration radius
         plus the window penalty for in-flight conversions."""
         return 2.0 * self.exploration_radius(delta) + self.window_norm_sum()
-
-    def sq_norms(self, A: np.ndarray) -> np.ndarray:
-        """Squared inverse-design norms of the rows of ``A``, one BLAS matmul."""
-        return np.einsum("ki,ki->k", A @ self.V_inv, A)
 
     def _inverse_error(self) -> float:
         residual = self.V @ self.V_inv

@@ -39,7 +39,7 @@ from .environment import (
     action_sets,
     outcome_block,
 )
-from .estimator import WindowedEstimator
+from .estimator import WindowedEstimator, norms
 from .policies import Policy
 
 __all__ = [
@@ -329,23 +329,18 @@ def build_config(values: dict, preset: Optional[str] = None) -> ExperimentConfig
 
 
 # The randomness layout, written to metadata.txt: one child stream per
-# source, spawned in the order of EpisodeStreams, and the environment's
+# source, child i of a run's seed for STREAMS[i], and the environment's
 # block rules. Any change to either moves outputs, so it takes a new number.
 RNG_LAYOUT = 2
+STREAMS = ("actions", "rewards", "delays", "policy")
 
 
-class EpisodeStreams(NamedTuple):
-    """One generator per source of an episode's randomness."""
-
-    actions: np.random.Generator
-    rewards: np.random.Generator
-    delays: np.random.Generator
-    policy: np.random.Generator
-
-
-def _episode_streams(base_seed: int, run_index: int) -> EpisodeStreams:
-    children = np.random.SeedSequence(base_seed + run_index).spawn(len(EpisodeStreams._fields))
-    return EpisodeStreams(*(np.random.default_rng(child) for child in children))
+def _streams(seed: int, *sources: str) -> list:
+    """The generators of the named sources of ``seed``. Each is built alone:
+    the child with ``spawn_key=(i,)`` is child i of
+    ``SeedSequence(seed).spawn(len(STREAMS))``, bit for bit."""
+    keys = (STREAMS.index(source) for source in sources)
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in keys]
 
 
 def _action_blocks(config: ExperimentConfig, rng: np.random.Generator):
@@ -361,15 +356,14 @@ def _action_blocks(config: ExperimentConfig, rng: np.random.Generator):
 
 def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:
     """Play one full episode; deterministic given (config, run_index)."""
-    streams = _episode_streams(config.base_seed, run_index)
-    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
-                           streams.rewards, streams.delays)
+    actions, rewards, delays, policy_rng = _streams(config.base_seed + run_index, *STREAMS)
+    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, rewards, delays)
     policy = Policy(config)
     trace = np.empty(config.T)
     cum = 0.0
     for t, aset in zip(range(1, config.T + 1),
-                       action_sets(_action_blocks(config, streams.actions))):
-        idx = policy.select(aset.actions, streams.policy)
+                       action_sets(_action_blocks(config, actions))):
+        idx = policy.select(aset.actions, policy_rng)
         chosen = aset.actions[idx]
         policy.observe([ev.round_index for ev in env.step(idx, aset)], chosen)
         cum += env.instantaneous_regret(chosen, aset)
@@ -414,11 +408,11 @@ def _coverage_sequence(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray
     """The actions the random policy plays in run 0 of ``base_seed``, one row
     per round, and their mean rewards. Its T picks are one draw of T
     integers, which equals the episode's T single draws."""
-    seq = _episode_streams(config.base_seed, 0)
-    picks = seq.policy.integers(config.K, size=config.T)
+    action_rng, policy_rng = _streams(config.base_seed, "actions", "policy")
+    picks = policy_rng.integers(config.K, size=config.T)
     actions = np.empty((config.T, config.d))
     n = action_block_rounds(config.d, config.K)
-    for start, block in zip(range(0, config.T, n), _action_blocks(config, seq.actions)):
+    for start, block in zip(range(0, config.T, n), _action_blocks(config, action_rng)):
         picked = picks[start:start + n]
         actions[start:start + n] = block[np.arange(picked.size), picked]
     return actions, actions @ config.resolve_theta
@@ -449,7 +443,8 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
     """
     T, d, n = config.T, config.d, CHECK_BLOCK_ROUNDS
     est = WindowedEstimator(d, config.lam, config.episode_window)
-    streams = [_episode_streams(config.base_seed + 1, rep) for rep in range(n_reps)]
+    streams = [_streams(config.base_seed + 1 + rep, "rewards", "delays")
+               for rep in range(n_reps)]
     reps = np.arange(n_reps)
     # one outcome block of every replication's draws, refilled every
     # OUTCOME_BLOCK_ROUNDS rounds
@@ -463,9 +458,9 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
     for t0 in range(1, T + 1, n):
         j = (t0 - 1) % OUTCOME_BLOCK_ROUNDS
         if j == 0:
-            for rep, stream in enumerate(streams):
+            for rep, (reward_rng, delay_rng) in enumerate(streams):
                 uniforms[rep], delays[rep] = outcome_block(config.resolved_delay,
-                                                           stream.rewards, stream.delays)
+                                                           reward_rng, delay_rng)
         k = min(n, T + 1 - t0)
         for i, a in enumerate(actions[t0 - 1:t0 - 1 + k]):
             radii[i] = 2.0 * est.exploration_radius(config.delta)
@@ -531,7 +526,7 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
         # V_inv is exactly symmetric, so E[i, rep] is estimate - target
         E = Bs @ V_invs
         E -= target
-        lhs = np.sqrt(np.maximum(np.einsum("nij,nij->ni", E @ Vs, E), 0.0))
+        lhs = norms(E, Vs)
         above = lhs > radii[:, None]
         alive = np.repeat(live[None], radii.size, axis=0)  # live at each round
         for i in np.flatnonzero((above & live).any(axis=1)).tolist():

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimator import WindowedEstimator
+from .estimator import WindowedEstimator, norms
 
 if TYPE_CHECKING:  # the harness imports this module, not the reverse
     from .harness import ExperimentConfig
@@ -80,7 +80,7 @@ class Policy:
         if cfg.policy == "otf_lints":
             return int(np.argmax(A @ self.sample_parameter(rng)))
         width = cfg.width_scale * est.confidence_width(cfg.delta)
-        scores = A @ est.estimate() + width * np.sqrt(np.maximum(est.sq_norms(A), 0.0))
+        scores = A @ est.estimate() + width * norms(A, est.V_inv)
         return int(np.argmax(scores))
 
     def observe(self, rounds: list[int], chosen: np.ndarray) -> None:

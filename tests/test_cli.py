@@ -289,6 +289,17 @@ class TestLowerBound:
 
 
 class TestCoverage:
+    def test_non_finite_inverse_exits_2(self, tmp_path, capsys):
+        # at lambda = 1e-300 the first rank-one update overflows; the fidelity
+        # test re-inverts, and the singular design matrix is a numerical error
+        cfg = tmp_path / "tiny_lambda.cfg"
+        cfg.write_text("T = 50\nlambda = 1e-300\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg), "--runs", "1",
+                         "--out", str(tmp_path / "r")]) == 2
+            assert main(["coverage", "--config", str(cfg), "--reps", "2"]) == 2
+        assert "Singular matrix" in capsys.readouterr().err
+
     def test_small_run(self, tmp_path, capsys):
         cfg = tmp_path / "cov.cfg"
         cfg.write_text("d = 2\nK = 3\nT = 40\ndelay = fixed\ndelay_value = 0\n"

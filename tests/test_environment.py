@@ -51,6 +51,10 @@ class TestActionSet:
         with pytest.raises(ValueError, match="norm"):
             ActionSet(np.array([[1.0, 1.0]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="norm"):
+            ActionSet(np.array([[np.nan, 0.0]]))
+
     def test_rejects_empty_and_flat(self):
         with pytest.raises(ValueError):
             ActionSet(np.empty((0, 3)))
@@ -118,6 +122,11 @@ class TestGenerateActionSet:
 
 
 class TestStep:
+    def test_nan_mean_is_out_of_range(self):
+        env = make_env([np.nan, 0.0], FixedDelay(0), 0)
+        with pytest.raises(ValueError, match="mean reward"):
+            env.step(0, ActionSet(np.eye(2)))
+
     def test_zero_delay_reveals_same_round(self):
         env = make_env([1.0], FixedDelay(0), 0)
         aset = ActionSet(np.array([[1.0]]))

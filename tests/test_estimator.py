@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from delayed_bandits.estimator import WindowedEstimator
+from delayed_bandits.estimator import WindowedEstimator, norms
 
 E1 = np.array([1.0, 0.0])
 
@@ -89,6 +89,22 @@ class TestRecordAction:
         est = WindowedEstimator(d=2, lam=1.0, m=2)
         with pytest.raises(ValueError):
             est.record_action(np.array([1.0, 1.0]))
+
+    def test_rejects_nan_action(self):
+        est = WindowedEstimator(d=2, lam=1.0, m=2)
+        with pytest.raises(ValueError, match="not finite"):
+            est.record_action(np.array([np.nan, 0.0]))
+        assert np.array_equal(est.V, np.eye(2))
+
+    def test_non_finite_inverse_is_re_inverted(self):
+        # at lambda = 1e-300 the rank-one update overflows to -inf, and the
+        # fidelity residual is NaN; the test must still send it to a
+        # re-inversion
+        est = WindowedEstimator(d=2, lam=1e-300, m=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est.record_action(E1)
+        assert np.all(np.isfinite(est.V_inv))
+        assert est._inverse_error() <= 1e-8
 
 
 class TestRecordConversion:
@@ -198,34 +214,34 @@ class TestConfidenceWidth:
         assert est.confidence_width(0.05) == pytest.approx(expected, abs=1e-12)
 
 
-class TestSqNorms:
-    """Norms in the inverse-design metric, squared, from ``sq_norms``."""
+class TestNorms:
+    """Norms in the inverse-design metric, from ``norms``."""
 
     def test_fresh_state_is_l2(self):
         est = WindowedEstimator(d=3, lam=1.0, m=5)
         v = np.array([0.3, -0.2, 0.1])
-        assert math.sqrt(est.sq_norms(v[None, :])[0]) == pytest.approx(np.linalg.norm(v))
+        assert norms(v[None, :], est.V_inv)[0] == pytest.approx(np.linalg.norm(v))
 
     def test_zero_vector(self):
         est = WindowedEstimator(d=3, lam=1.0, m=5)
-        assert est.sq_norms(np.zeros((1, 3)))[0] == 0.0
+        assert norms(np.zeros((1, 3)), est.V_inv)[0] == 0.0
 
     def test_non_increasing_as_data_accumulates(self):
         rng = np.random.default_rng(23)
         probe = np.array([0.5, 0.5, 0.1])
         probe /= np.linalg.norm(probe)
         est = WindowedEstimator(d=3, lam=1.0, m=5)
-        last = math.sqrt(est.sq_norms(probe[None, :])[0])
+        last = norms(probe[None, :], est.V_inv)[0]
         for a in random_unit_ball_actions(rng, 400, 3):
             est.record_action(a)
-            current = math.sqrt(est.sq_norms(probe[None, :])[0])
+            current = norms(probe[None, :], est.V_inv)[0]
             assert current <= last + 1e-12
             last = current
 
     def test_dimension_mismatch(self):
         est = WindowedEstimator(d=3, lam=1.0, m=5)
         with pytest.raises(ValueError):
-            est.sq_norms(np.ones((1, 4)))
+            norms(np.ones((1, 4)), est.V_inv)
 
 
 class TestNumericalInvariants:
@@ -247,6 +263,25 @@ class TestNumericalInvariants:
             est.record_action(a)
             worst = max(worst, np.abs(est.V @ est.V_inv - eye).max())
         assert worst <= 1e-8
+
+    def test_long_stream_stays_symmetric_positive_definite(self):
+        # 10^5 unit actions with a burst of 5000 collinear ones; every 10^4
+        # updates, both matrices are exactly symmetric and factor, the
+        # inverse passes the fidelity test and stream norms are finite
+        rng = np.random.default_rng(53)
+        actions = rng.standard_normal((100_000, 5))
+        actions[40_000:45_000] = actions[40_000]
+        actions /= np.linalg.norm(actions, axis=1, keepdims=True)
+        est = WindowedEstimator(d=5, lam=1.0, m=100)
+        for t, a in enumerate(actions, start=1):
+            est.record_action(a)
+            if t % 10_000 == 0:
+                assert np.array_equal(est.V, est.V.T)
+                assert np.array_equal(est.V_inv, est.V_inv.T)
+                np.linalg.cholesky(est.V)
+                np.linalg.cholesky(est.V_inv)
+                assert est._inverse_error() <= 1e-8
+                assert np.all(np.isfinite(norms(actions[t - 10_000:t], est.V_inv)))
 
     def test_elliptical_potential_bound(self):
         # deterministic inequality for lam = 1 and unit-ball actions

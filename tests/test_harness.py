@@ -337,18 +337,16 @@ class TestRunEpisode:
 
     def test_matches_manual_episode_loop(self):
         # independent accounting of the same seeded episode
-        from delayed_bandits.harness import _episode_streams
-
         config = TINY
-        streams = _episode_streams(config.base_seed, 2)
-        env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
-                               streams.rewards, streams.delays)
+        actions, rewards, delays, policy_rng = harness._streams(config.base_seed + 2,
+                                                                *harness.STREAMS)
+        env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, rewards, delays)
         policy = Policy(config)
-        sets = action_sets(harness._action_blocks(config, streams.actions))
+        sets = action_sets(harness._action_blocks(config, actions))
         total = 0.0
         for t in range(1, config.T + 1):
             aset = next(sets)
-            idx = policy.select(aset.actions, streams.policy)
+            idx = policy.select(aset.actions, policy_rng)
             policy.observe([ev.round_index for ev in env.step(idx, aset)],
                            aset.actions[idx])
             values = aset.actions @ env.theta
@@ -622,9 +620,8 @@ class TestConcentrationCoverage:
         Vs, V_invs, Bs = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
         assert Bs.shape == (1100, 3, config.d)
         for rep in range(3):
-            streams = harness._episode_streams(config.base_seed + 1, rep)
-            outcomes = round_outcomes(config.resolved_delay, streams.rewards,
-                                      streams.delays)
+            outcomes = round_outcomes(config.resolved_delay, *harness._streams(
+                config.base_seed + 1 + rep, "rewards", "delays"))
             single = WindowedEstimator(config.d, config.lam, config.episode_window)
             reveal = {}
             credited = revealed = 0
@@ -643,8 +640,8 @@ class TestConcentrationCoverage:
 
     def test_batched_products_keep_the_per_round_bits(self):
         # a block's deviations are (n, R, d) @ (n, d, d) products and one
-        # einsum; each round's slice must have the bits of the (R, d) @
-        # (d, d) product and einsum of a round-by-round check
+        # batched ``norms``; each round's slice must have the bits of the
+        # (R, d) @ (d, d) product and the ``norms`` of a round-by-round check
         rng = np.random.default_rng(7)
         for d, R in itertools.product(range(1, 6), (1, 2, 7, 40)):
             Bs = rng.random((9, R, d))
@@ -652,11 +649,11 @@ class TestConcentrationCoverage:
             Vs = Vs + Vs.transpose(0, 2, 1)
             V_invs = np.linalg.inv(Vs)
             E = Bs @ V_invs
-            q = np.einsum("nij,nij->ni", E @ Vs, E)
+            lhs = estimator.norms(E, Vs)
             for i in range(9):
                 e = Bs[i] @ V_invs[i]
                 assert E[i].tobytes() == e.tobytes()
-                assert q[i].tobytes() == np.einsum("ij,ij->i", e @ Vs[i], e).tobytes()
+                assert lhs[i].tobytes() == estimator.norms(e, Vs[i]).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 4), K=st.integers(1, 6), T=st.integers(1, 400),
@@ -730,17 +727,17 @@ def full_width_coverage(config, n_reps):
     as in ``run_episode``, and each replication has an episode's estimator."""
     theta, delay = config.resolve_theta, config.resolved_delay
     target = config.tau_m * theta
-    seq = harness._episode_streams(config.base_seed, 0)
-    sets = action_sets(harness._action_blocks(config, seq.actions))
+    action_rng, policy_rng = harness._streams(config.base_seed, "actions", "policy")
+    sets = action_sets(harness._action_blocks(config, action_rng))
     actions = np.empty((config.T, config.d))
     for i in range(config.T):
         aset = next(sets)
-        actions[i] = aset.actions[int(seq.policy.integers(config.K))]
+        actions[i] = aset.actions[int(policy_rng.integers(config.K))]
     means = actions @ theta
     hits = penalty_decided = 0
     for rep in range(n_reps):
-        streams = harness._episode_streams(config.base_seed + 1, rep)
-        outcomes = round_outcomes(delay, streams.rewards, streams.delays)
+        outcomes = round_outcomes(delay, *harness._streams(config.base_seed + 1 + rep,
+                                                           "rewards", "delays"))
         est = WindowedEstimator(config.d, config.lam, config.episode_window)
         reveal = {}
         covered = True
@@ -813,6 +810,28 @@ def test_upper_bound_far_above_preset_regret():
 class TestRandomnessLayout:
     """Layout 2: one child stream per source, each drawn in blocks whose
     length does not depend on the horizon."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40])
+    def test_each_source_is_its_child_of_the_seed(self, seed):
+        children = np.random.SeedSequence(seed).spawn(len(harness.STREAMS))
+        for source, child in zip(harness.STREAMS, children):
+            (rng,) = harness._streams(seed, source)
+            want = np.random.default_rng(child).bit_generator.state
+            assert rng.bit_generator.state == want
+
+    def test_coverage_builds_only_the_generators_it_draws(self, monkeypatch):
+        # the sequence's actions and picks, then each replication's rewards
+        # and delays
+        calls = []
+        build = np.random.default_rng
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        concentration_coverage(ExperimentConfig(T=200, delay_mean=20.0, m=40), 5)
+        assert len(calls) == 2 + 2 * 5
 
     @pytest.mark.parametrize("name", ["A/otf_linucb", "A/otf_lints", "D", "empirical",
                                       "fixed_basis"])

@@ -7,7 +7,7 @@ from scipy import stats
 from delayed_bandits.environment import (ActionSet, DelayedBanditEnv, action_blocks,
                                          action_sets)
 from delayed_bandits.delays import FixedDelay
-from delayed_bandits.harness import ORACLE, ExperimentConfig, _episode_streams
+from delayed_bandits.harness import ORACLE, STREAMS, ExperimentConfig, _streams
 from delayed_bandits.policies import Policy
 
 E1 = np.array([1.0, 0.0])
@@ -216,14 +216,14 @@ class TestDeterminism:
         def play(seed):
             config = contract_config(3, policy=kind, m=15, delay_mean=10.0)
             policy = Policy(config)
-            streams = _episode_streams(seed, 0)
+            actions, rewards, delays, policy_rng = _streams(seed, *STREAMS)
             env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), config.resolved_delay,
-                                   streams.rewards, streams.delays)
-            sets = action_sets(action_blocks(streams.actions, 3, 6))
+                                   rewards, delays)
+            sets = action_sets(action_blocks(actions, 3, 6))
             chosen_indices = []
             for _ in range(120):
                 aset = next(sets)
-                idx = policy.select(aset.actions, streams.policy)
+                idx = policy.select(aset.actions, policy_rng)
                 policy.observe([ev.round_index for ev in env.step(idx, aset)],
                                aset.actions[idx])
                 chosen_indices.append(idx)

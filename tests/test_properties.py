@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from delayed_bandits.environment import (
     ACTION_BLOCK_ENTRIES, NORM_TOL, ActionSet, DelayedBanditEnv, action_block_rounds,
     action_sets, generate_action_set)
-from delayed_bandits.estimator import WindowedEstimator
+from delayed_bandits.estimator import WindowedEstimator, norms
 from delayed_bandits.harness import (ORACLE, ConfigError, ExperimentConfig,
-                                     _action_blocks, _episode_streams, build_config,
+                                     STREAMS, _action_blocks, _streams, build_config,
                                      run_episode)
 from delayed_bandits.policies import Policy
 
@@ -159,18 +159,16 @@ def test_estimate_is_batch_ridge_on_credited_data(seed, d, lam, m, delay_mean, T
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 60), K=st.integers(1, 120), seed=SEEDS)
-def test_sq_norms_match_einsum(d, K, seed):
+def test_norms_match_einsum(d, K, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     V_inv = (Q * rng.uniform(1e-3, 1.0, size=d)) @ Q.T
     V_inv = 0.5 * (V_inv + V_inv.T)
     A = unit_ball_actions(rng, K, d)
-    est = WindowedEstimator(d, 1.0, 0)
-    est.V_inv = V_inv
     want = einsum_sq_norms(A, V_inv)
     # relative to the scale of the terms the quadratic form sums
     scale = np.sum(A * A, axis=1) * np.linalg.norm(V_inv, 2)
-    assert np.all(np.abs(est.sq_norms(A) - want) <= 1e-12 * scale)
+    assert np.all(np.abs(norms(A, V_inv) ** 2 - want) <= 1e-12 * scale)
 
 
 def random_state(policy, rng, d, n_actions):
@@ -243,15 +241,14 @@ def test_potential_sums_pre_update_norms(seed, d, lam, m, T):
 def test_episode_potential_sums_pre_update_norms(seed, T, policy):
     config = build_config(dict(d=3, K=4, T=T, delay_mean=5.0, m=10, policy=policy,
                                base_seed=seed))
-    streams = _episode_streams(config.base_seed, 0)
-    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay,
-                           streams.rewards, streams.delays)
+    actions, rewards, delays, policy_rng = _streams(config.base_seed, *STREAMS)
+    env = DelayedBanditEnv(config.resolve_theta, config.resolved_delay, rewards, delays)
     player = Policy(config)
-    sets = action_sets(_action_blocks(config, streams.actions))
+    sets = action_sets(_action_blocks(config, actions))
     played = []
     for _ in range(T):
         aset = next(sets)
-        idx = player.select(aset.actions, streams.policy)
+        idx = player.select(aset.actions, policy_rng)
         player.observe([ev.round_index for ev in env.step(idx, aset)], aset.actions[idx])
         played.append(aset.actions[idx])
     want = pre_update_potential(np.array(played), config.lam)
