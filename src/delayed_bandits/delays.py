@@ -187,25 +187,28 @@ def recommended_window(dist: DelayDistribution) -> int:
 def load_empirical(path, scale: float = 1.0) -> EmpiricalDelay:
     """Read one non-negative number per line; '#' starts a comment line.
 
-    Raises ValueError with the offending line number on parse failures and
-    on empty files.
+    Raises ValueError naming the file, and the offending line on parse
+    failures, when it is not UTF-8 text, does not parse or is empty.
     """
     path = Path(path)
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                value = float(stripped)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {stripped!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite delay sample")
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: negative delay sample {value}")
-            samples.append(value)
+    try:  # line by line: a delay file may be large
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                try:
+                    value = float(stripped)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not a number: {stripped!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite delay sample")
+                if value < 0:
+                    raise ValueError(f"{path}:{lineno}: negative delay sample {value}")
+                samples.append(value)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if not samples:
         raise ValueError(f"empty delay sample file: {path}")
     return EmpiricalDelay(samples=tuple(samples), scale=scale)

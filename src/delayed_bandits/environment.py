@@ -22,7 +22,6 @@ __all__ = [
     "ConversionEvent",
     "DelayedBanditEnv",
     "action_block_rounds",
-    "action_blocks",
     "action_sets",
     "generate_action_set",
     "outcome_block",
@@ -112,19 +111,9 @@ def generate_action_set(rng: np.random.Generator, d: int, K: int, n: int) -> np.
     return bits.reshape(n, K, d)
 
 
-def action_blocks(rng: np.random.Generator, d: int, K: int) -> Iterator[np.ndarray]:
-    """Every round's actions, as (n, K, d) blocks of
-    ``n = action_block_rounds(d, K)`` rounds from ``generate_action_set``.
-    Always whole blocks: a horizon that ends inside one leaves the rest
-    unused."""
-    n = action_block_rounds(d, K)
-    while True:
-        yield generate_action_set(rng, d, K, n)
-
-
 def action_sets(blocks: Iterable[np.ndarray]) -> Iterator[ActionSet]:
     """Every round's action set, from (n, K, d) blocks of validated actions
-    such as ``action_blocks``'s."""
+    such as ``generate_action_set``'s."""
     for block in blocks:
         for actions in block:
             yield ActionSet._from_validated(actions)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import exploration_radius_at
+from .environment import NORM_TOL
 
 __all__ = ["WindowedEstimator", "norms"]
 
@@ -22,6 +23,9 @@ __all__ = ["WindowedEstimator", "norms"]
 # this (or goes NaN), and unconditionally every _REINVERT_PERIOD updates.
 _FIDELITY_TOL = 1e-8
 _REINVERT_PERIOD = 1000
+#: largest squared action norm accepted: the unit ball to ``ActionSet``'s
+#: tolerance, squared once here
+_MAX_SQ_NORM = (1.0 + NORM_TOL) ** 2
 
 
 def norms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -78,7 +82,7 @@ class WindowedEstimator:
         a = np.asarray(a, dtype=float)
         if a.shape != (self.d,):
             raise ValueError(f"action shape {a.shape} does not match d={self.d}")
-        if not a @ a <= 1.0 + 1e-6:  # NaN fails too
+        if not a @ a <= _MAX_SQ_NORM:  # NaN fails too
             raise ValueError("action norm exceeds 1 or is not finite")
         # a[:, None] * a is the product np.outer(a, a) forms, without its
         # wrapper's reshaping passes
@@ -103,18 +107,13 @@ class WindowedEstimator:
         Conversions for evicted (too old) or unknown rounds are silently
         dropped; repeat conversions for the same round are no-ops.
         """
-        if self.in_window(round_index):
+        # the ring's _size rounds are a window of _size - 1: m once it is
+        # full, and before that every recorded round
+        if self.credited(round_index, self.t - 1, self._size - 1):
             slot = (round_index - 1) % self._rows
             if not self._converted[slot]:
                 self.B += self._actions[slot]
                 self._converted[slot] = True
-
-    def in_window(self, round_index: int) -> bool:
-        """Whether a conversion of ``round_index`` revealed now, at the end of
-        round ``t - 1``, is credited: the round is still in the ring."""
-        # the ring's _size rounds are a window of _size - 1: m once it is
-        # full, and before that every recorded round
-        return self.credited(round_index, self.t - 1, self._size - 1)
 
     @staticmethod
     def credited(s, w, m):

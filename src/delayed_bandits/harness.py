@@ -35,8 +35,8 @@ from .environment import (
     OUTCOME_BLOCK_ROUNDS,
     DelayedBanditEnv,
     action_block_rounds,
-    action_blocks,
     action_sets,
+    generate_action_set,
     outcome_block,
 )
 from .estimator import WindowedEstimator, norms
@@ -344,14 +344,16 @@ def _streams(seed: int, *sources: str) -> list:
 
 
 def _action_blocks(config: ExperimentConfig, rng: np.random.Generator):
-    """Every round's actions, as (n, K, d) blocks of ``action_block_rounds(d,
-    K)`` rounds: the standard basis repeated (a read-only view), or drawn from
-    ``rng`` by ``action_blocks``. Episodes and coverage take their actions
-    from here only."""
+    """Every round's actions, as (n, K, d) blocks of ``n =
+    action_block_rounds(d, K)`` rounds: the standard basis repeated (a
+    read-only view), or drawn from ``rng`` by ``generate_action_set``. Always
+    whole blocks: a horizon that ends inside one leaves the rest unused.
+    Episodes and coverage take their actions from here only."""
+    d, K = config.d, config.K
+    n = action_block_rounds(d, K)
     if config.action_mode == "fixed_basis":
-        n = action_block_rounds(config.d, config.K)
-        return itertools.repeat(np.broadcast_to(np.eye(config.d), (n, config.K, config.d)))
-    return action_blocks(rng, config.d, config.K)
+        return itertools.repeat(np.broadcast_to(np.eye(d), (n, K, d)))
+    return (generate_action_set(rng, d, K, n) for _ in itertools.count())
 
 
 def run_episode(config: ExperimentConfig, run_index: int) -> RegretTrace:

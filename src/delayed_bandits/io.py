@@ -109,20 +109,21 @@ def emit_csv(traces: list, stats: SummaryStats, out_dir) -> tuple[Path, Path]:
 
 
 def read_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment. A file that
+    cannot be opened, read or decoded as UTF-8 is a ``ConfigError`` that
+    names it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"config file not found or unreadable: {path} ({reason})") from exc
     values: dict = {}
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    if path.is_dir():
-        raise ConfigError(f"config path is a directory: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        values[key.strip()] = value.strip()
     return values

@@ -94,6 +94,46 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path)]) == 1
         assert "config error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "coverage"])
+    @pytest.mark.parametrize("kind", ["long name", "symlink loop", "not UTF-8"])
+    def test_unreadable_config_exits_1_naming_it(self, tmp_path, capsys, command, kind):
+        if kind == "long name":
+            cfg = tmp_path / ("c" * 300)  # past the 255-byte name limit
+        elif kind == "symlink loop":
+            cfg = tmp_path / "loop.cfg"
+            cfg.symlink_to(cfg)
+        else:
+            cfg = tmp_path / "latin1.cfg"
+            cfg.write_bytes("policy = r\xe9\n".encode("latin-1"))
+        argv = {"run": ["--out", str(tmp_path / "r")], "coverage": ["--reps", "2"]}
+        assert main([command, "--config", str(cfg), *argv[command]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file not found or unreadable: {cfg} (")
+
+    def test_undecodable_delay_file_exits_1_naming_it(self, tmp_path, capsys):
+        delays = tmp_path / "delays.txt"
+        delays.write_bytes(b"1\n\xff\n")
+        cfg = tmp_path / "emp.cfg"
+        cfg.write_text(f"delay = empirical\ndelay_path = {delays}\nm = auto\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {delays}: not UTF-8 text (")
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--T", "10", "--d", "2", "--m", "5", "--tau", "0.5", "--K", "3"],
+        ["run", "--runs", "many"],
+        ["coverage"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse itself would exit 2
+        assert main(argv) == 1
+        assert "usage: delayed-bandits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: delayed-bandits" in capsys.readouterr().out
+
     def test_flag_replaces_file_value_before_validation(self, tiny_config, tmp_path):
         # the file's n_jobs = 0 alone is invalid, but --jobs replaces it
         tiny_config.write_text(tiny_config.read_text() + "n_jobs = 0\n")
@@ -253,6 +293,23 @@ class TestRun:
         code = main(["run", "--config", str(tiny_config), "--policy", "otf_lints",
                      "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_indefinite_covariance_exits_2(self, tiny_config, tmp_path, monkeypatch, capsys):
+        # every policy starts from V_inv = -I: OTFLinTS's Cholesky factorization
+        # fails at its first draw
+        init = Policy.__init__
+
+        def indefinite(self, config):
+            init(self, config)
+            self.est.V_inv = -self.est.V_inv
+
+        monkeypatch.setattr(Policy, "__init__", indefinite)
+        code = main(["run", "--config", str(tiny_config), "--policy", "otf_lints",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: covariance factorization failed; inverse design matrix is not "
+            "positive definite\n")
 
 
 class TestBounds:

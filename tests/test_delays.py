@@ -251,6 +251,13 @@ class TestLoadEmpirical:
         with pytest.raises(ValueError, match=r":3:.*negative"):
             load_empirical(path)
 
+    @pytest.mark.parametrize("sample", ["inf", "nan", "-inf"])
+    def test_non_finite_reports_line(self, tmp_path, sample):
+        path = tmp_path / "delays.txt"
+        path.write_text(f"1\n{sample}\n")
+        with pytest.raises(ValueError, match=r":2: non-finite delay sample"):
+            load_empirical(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "delays.txt"
         path.write_text("# only comments\n")

@@ -122,6 +122,10 @@ class TestGenerateActionSet:
 
 
 class TestStep:
+    def test_rejects_a_matrix_theta(self):
+        with pytest.raises(ValueError, match="theta must be a vector"):
+            make_env(np.eye(2), FixedDelay(0), 0)
+
     def test_nan_mean_is_out_of_range(self):
         env = make_env([np.nan, 0.0], FixedDelay(0), 0)
         with pytest.raises(ValueError, match="mean reward"):

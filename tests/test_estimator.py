@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delayed_bandits.environment import NORM_TOL, ActionSet
 from delayed_bandits.estimator import WindowedEstimator, norms
 
 E1 = np.array([1.0, 0.0])
@@ -89,6 +90,20 @@ class TestRecordAction:
         est = WindowedEstimator(d=2, lam=1.0, m=2)
         with pytest.raises(ValueError):
             est.record_action(np.array([1.0, 1.0]))
+
+    def test_unit_ball_tolerance_is_action_sets(self):
+        # record_action accepts exactly the norms ActionSet accepts
+        for slack, accepted in ((0.5, True), (2.0, False)):
+            a = np.array([1.0 + slack * NORM_TOL, 0.0])
+            est = WindowedEstimator(d=2, lam=1.0, m=2)
+            if accepted:
+                ActionSet(a[None])
+                est.record_action(a)
+                continue
+            with pytest.raises(ValueError, match="norm exceeds 1"):
+                ActionSet(a[None])
+            with pytest.raises(ValueError, match="norm exceeds 1"):
+                est.record_action(a)
 
     def test_rejects_nan_action(self):
         est = WindowedEstimator(d=2, lam=1.0, m=2)

@@ -103,7 +103,8 @@ class TestConfig:
 
     def test_policy_settings_rejected(self):
         # keys that are only checked under another kind than the default
-        context = {"theta_values": {"theta": "explicit"}}
+        context = {"theta_values": {"theta": "explicit"},
+                   "delay_log_std": {"delay": "lognormal"}}
         for key, value, field, typed, match in [
             ("policy", "nope", "policy", "nope", "unknown policy kind"),
             ("delta", "0.0", "delta", 0.0, "delta must lie"),
@@ -117,6 +118,11 @@ class TestConfig:
             ("delay_scale", "inf", "delay_scale", math.inf, "delay_scale must be finite"),
             ("theta_values", "nan,0,0,0,0", "theta_values", (math.nan, 0.0, 0.0, 0.0, 0.0),
              "L2 norm"),
+            ("theta", "nope", "theta", "nope", "unknown theta kind"),
+            ("theta", "explicit", "theta", "explicit", "explicit theta requires theta_values"),
+            ("action_mode", "nope", "action_mode", "nope", "unknown action mode"),
+            ("delay", "nope", "delay", "nope", "unknown delay kind"),
+            ("delay_log_std", "0", "delay_log_std", 0.0, "log_std must be positive"),
         ]:
             extra = context.get(key, {})
             with pytest.raises(ConfigError, match=match):
@@ -483,6 +489,27 @@ class TestCsvRoundTrip:
             write_traces_csv([RegretTrace(0, np.zeros(2))], target)
         assert list(tmp_path.iterdir()) == [blocker]
 
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        # the temporary file is written in full before the rename fails
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("delayed_bandits.io.os.replace", fail)
+        from delayed_bandits.harness import RegretTrace
+        with pytest.raises(OSError, match="rename failed"):
+            write_traces_csv([RegretTrace(0, np.zeros(2))], tmp_path / "traces.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blank_rows_skipped_and_malformed_rows_named(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        path.write_text("run_id,t,cum_regret\n0,1,0.5\n\n0,2,1.0\n\n")
+        [trace] = read_traces_csv(path)
+        assert trace.cum_regret.tolist() == [0.5, 1.0]
+        for row in ("0,3", "0,3,1.0,2", "0,x,1.0"):
+            path.write_text(f"run_id,t,cum_regret\n0,1,0.5\n{row}\n")
+            with pytest.raises(ValueError, match=f":3: malformed trace row '{row}'"):
+                read_traces_csv(path)
+
     def test_malformed_rows_rejected(self, tmp_path):
         path = tmp_path / "traces.csv"
         path.write_text("run_id,t,cum_regret\n0,1,0.5\n0,3,1.0\n")
@@ -633,7 +660,7 @@ class TestConcentrationCoverage:
                 if u < means[t - 1]:
                     reveal.setdefault(t + d, []).append(t)
                 for s in reveal.pop(t, []):
-                    credited += single.in_window(s)
+                    credited += t - s <= single.m
                     revealed += 1
                     single.record_conversion(s)
             assert 0 < credited < revealed

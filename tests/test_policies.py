@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from delayed_bandits.environment import (ActionSet, DelayedBanditEnv, action_blocks,
-                                         action_sets)
+from delayed_bandits.environment import ActionSet, DelayedBanditEnv, action_sets
 from delayed_bandits.delays import FixedDelay
-from delayed_bandits.harness import ORACLE, STREAMS, ExperimentConfig, _streams
+from delayed_bandits.harness import (ORACLE, STREAMS, ExperimentConfig, _action_blocks,
+                                     _streams)
 from delayed_bandits.policies import Policy
 
 E1 = np.array([1.0, 0.0])
@@ -214,12 +214,12 @@ class TestDeterminism:
                                       "oracle_linucb", "random"])
     def test_identical_streams_give_identical_actions(self, kind):
         def play(seed):
-            config = contract_config(3, policy=kind, m=15, delay_mean=10.0)
+            config = contract_config(3, K=6, policy=kind, m=15, delay_mean=10.0)
             policy = Policy(config)
             actions, rewards, delays, policy_rng = _streams(seed, *STREAMS)
             env = DelayedBanditEnv(np.full(3, 1 / np.sqrt(3)), config.resolved_delay,
                                    rewards, delays)
-            sets = action_sets(action_blocks(actions, 3, 6))
+            sets = action_sets(_action_blocks(config, actions))
             chosen_indices = []
             for _ in range(120):
                 aset = next(sets)

@@ -104,14 +104,19 @@ def test_ring_window_matches_deque_model_across_reinversion():
 def test_window_rule_is_the_ring(m, n):
     # in every state (n actions recorded), for rounds before the first and
     # past the last too, the rule credits exactly the rounds in the ring,
-    # t - size <= s < t, asked through in_window or on arrays with the
+    # t - size <= s < t, asked through record_conversion (B counts the
+    # credited rounds, every action being 1) or on arrays with the
     # estimator's m
     est = WindowedEstimator(1, 1.0, m)
     for _ in range(n):
         est.record_action(np.ones(1))
     rounds = np.arange(-m - 3, est.t + m + 3)
     ring = (est.t - est._size <= rounds) & (rounds < est.t)
-    assert [est.in_window(int(s)) for s in rounds] == ring.tolist()
+    counts = []
+    for s in rounds.tolist():
+        est.record_conversion(s)
+        counts.append(est.B[0])
+    assert (np.diff(counts, prepend=0.0) == 1.0).tolist() == ring.tolist()
     assert np.array_equal(WindowedEstimator.credited(rounds, est.t - 1, est.m), ring)
 
 
