@@ -12,6 +12,8 @@ flight.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .bounds import exploration_radius_at
@@ -26,6 +28,14 @@ _REINVERT_PERIOD = 1000
 #: largest squared action norm accepted: the unit ball to ``ActionSet``'s
 #: tolerance, squared once here
 _MAX_SQ_NORM = (1.0 + NORM_TOL) ** 2
+#: entries of each (k, d, d) stack that ``record_actions`` folds at once, so
+#: that its V and V_inv stacks and their residuals stay in cache
+STACK_ENTRIES = 32_768
+#: fewest rows per chunk at which a coverage call is faster by chunks than
+#: row by row (``sweep.chunk_crossover`` in BENCH_coverage_record.json:
+#: faster at 20 rows, d = 40, slower at 16, d = 45); below it (a short
+#: block, or d above 40) ``record_actions`` folds one row at a time
+_MIN_BLOCK_ROWS = 20
 
 
 def norms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -33,6 +43,22 @@ def norms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     (d, d) ``M`` or (n, k, d) under (n, d, d) ``M``s; a square that rounds
     below 0 is clipped."""
     return np.sqrt(np.maximum(np.einsum("...i,...i->...", A @ M, A), 0.0))
+
+
+def _rank_one(V_inv: np.ndarray, a: np.ndarray) -> tuple:
+    """The Sherman-Morrison term that ``V_inv`` loses when the action ``a``
+    is added to the design matrix, and a's squared norm under ``V_inv``."""
+    u = V_inv @ a
+    sq = float(a @ u)
+    # u[:, None] * u is exactly symmetric, so the inverse stays exactly
+    # symmetric without re-symmetrizing
+    return u[:, None] * u / (1.0 + sq), sq
+
+
+def _inverted(V: np.ndarray) -> np.ndarray:
+    """The inverse of ``V`` from scratch, symmetrized."""
+    V_inv = np.linalg.inv(V)
+    return 0.5 * (V_inv + V_inv.T)
 
 
 class WindowedEstimator:
@@ -84,22 +110,104 @@ class WindowedEstimator:
             raise ValueError(f"action shape {a.shape} does not match d={self.d}")
         if not a @ a <= _MAX_SQ_NORM:  # NaN fails too
             raise ValueError("action norm exceeds 1 or is not finite")
+        self._fold(a)
+
+    def _fold(self, a: np.ndarray) -> None:
+        """``record_action``'s update of an action whose norm is checked;
+        ``record_actions`` folds single rows with it."""
         # a[:, None] * a is the product np.outer(a, a) forms, without its
         # wrapper's reshaping passes
         self.V += a[:, None] * a
-        # rank-one inverse update; u[:, None] * u is exactly symmetric, so
-        # V_inv stays exactly symmetric without re-symmetrizing
-        u = self.V_inv @ a
-        sq = float(a @ u)
+        term, sq = _rank_one(self.V_inv, a)
+        self.V_inv -= term
         self.potential += sq
-        self.V_inv -= u[:, None] * u / (1.0 + sq)
-        if self.t % _REINVERT_PERIOD == 0 or not self._inverse_error() <= _FIDELITY_TOL:
-            self._reinvert()
+        if (self.t % _REINVERT_PERIOD == 0
+                or not self._inverse_error(self.V, self.V_inv) <= _FIDELITY_TOL):
+            self.V_inv = _inverted(self.V)
         slot = (self.t - 1) % self._rows
         self._actions[slot] = a
         self._converted[slot] = False
         self._size = min(self._size + 1, self.m + 1)
         self.t += 1
+
+    def record_actions(self, A: np.ndarray, out: Optional[tuple] = None) -> None:
+        """Fold the rows of the (k, d) array ``A`` in order, leaving the bits
+        of k ``record_action`` calls. ``out``, a pair of (k, d, d) arrays,
+        receives V and V_inv as they were before each row.
+
+        Every row's norm is checked before any state changes. The rows are
+        then folded in chunks of ``STACK_ENTRIES // d**2`` rows: the design
+        matrices by adding the rank-one terms one at a time, as
+        ``record_action`` does, the inverses by the rank-one chain, then
+        every row's fidelity test at once. At the first row that fails it
+        or reaches the periodic re-inversion, the inverse is re-inverted
+        there; after a periodic re-inversion the next chunk starts at the
+        next row, after a failed test the chunk's remaining rows are folded
+        one at a time, so a failed test costs at most the rest of its chunk
+        again, not a new chunk. Where a chunk would hold fewer than
+        ``_MIN_BLOCK_ROWS`` rows, each row is folded as ``record_action``
+        folds it.
+        """
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != self.d:
+            raise ValueError(f"action block shape {A.shape} does not match d={self.d}")
+        # each row's a @ a, as a batch of (1, d) @ (d, 1) products
+        if not (A[:, None] @ A[:, :, None]).max(initial=0.0) <= _MAX_SQ_NORM:  # NaN too
+            raise ValueError("action norm exceeds 1 or is not finite")
+        d, done = self.d, 0
+        chunk = min(STACK_ENTRIES // (d * d), len(A))
+        if chunk < _MIN_BLOCK_ROWS:  # too few rows per chunk to repay its set-up
+            self._fold_each(A, out)
+            return
+        # a chunk's states: entry i before its row i, entry k after its last
+        Vs, V_invs = np.empty((2, chunk + 1, d, d))
+        while done < len(A):
+            rows = A[done:done + chunk]
+            k = len(rows)
+            V, V_inv = Vs[:k + 1], V_invs[:k + 1]
+            V[0], V_inv[0] = self.V, self.V_inv
+            np.multiply(rows[:, :, None], rows[:, None], out=V[1:])
+            for i in range(k):
+                V[i + 1] += V[i]
+            potentials = []
+            potential = self.potential
+            for i, a in enumerate(rows):
+                term, sq = _rank_one(V_inv[i], a)
+                np.subtract(V_inv[i], term, out=V_inv[i + 1])
+                potential += sq
+                potentials.append(potential)
+            # the first row that reaches the periodic re-inversion or fails
+            # the fidelity test (NaN too); none if it is k or later
+            periodic = (-self.t) % _REINVERT_PERIOD
+            failed = np.flatnonzero(~(self._inverse_error(V[1:], V_inv[1:]) <= _FIDELITY_TOL))
+            first = min(periodic, int(failed[0])) if failed.size else periodic
+            n = min(first + 1, k)  # rows kept
+            if first < k:
+                V_inv[n] = _inverted(V[n])
+            if out is not None:
+                out[0][done:done + n], out[1][done:done + n] = V[:n], V_inv[:n]
+            self.V[...], self.V_inv[...] = V[n], V_inv[n]
+            self.potential = potentials[n - 1]
+            # only the last rows that fit in the ring are stored
+            kept = rows[max(0, n - self._rows):n]
+            slots = np.arange(self.t - 1 + n - len(kept), self.t - 1 + n) % self._rows
+            self._actions[slots] = kept
+            self._converted[slots] = False
+            self._size = min(self._size + n, self.m + 1)
+            self.t += n
+            done += n
+            if failed.size and failed[0] < periodic:
+                self._fold_each(rows[n:], None if out is None else
+                                (out[0][done:done + k - n], out[1][done:done + k - n]))
+                done += k - n
+
+    def _fold_each(self, A: np.ndarray, out: Optional[tuple]) -> None:
+        """Fold the checked rows of ``A`` one at a time; ``out`` as in
+        ``record_actions``."""
+        for i, a in enumerate(A):
+            if out is not None:
+                out[0][i], out[1][i] = self.V, self.V_inv
+            self._fold(a)
 
     def record_conversion(self, round_index: int) -> None:
         """Credit a revealed conversion to its action, if still in the window.
@@ -146,11 +254,10 @@ class WindowedEstimator:
         plus the window penalty for in-flight conversions."""
         return 2.0 * self.exploration_radius(delta) + self.window_norm_sum()
 
-    def _inverse_error(self) -> float:
-        residual = self.V @ self.V_inv
+    def _inverse_error(self, V: np.ndarray, V_inv: np.ndarray):
+        """The fidelity residual max |V V_inv - I| of one (d, d) pair, or of
+        each pair of two (k, d, d) stacks; NaN if either holds a NaN."""
+        residual = V @ V_inv
         residual -= self._eye
-        return float(np.abs(residual, out=residual).max())
+        return np.abs(residual, out=residual).max(axis=(-2, -1))
 
-    def _reinvert(self) -> None:
-        self.V_inv = np.linalg.inv(self.V)
-        self.V_inv = 0.5 * (self.V_inv + self.V_inv.T)

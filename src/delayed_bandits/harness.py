@@ -39,6 +39,7 @@ from .environment import (
     generate_action_set,
     outcome_block,
 )
+from . import estimator
 from .estimator import WindowedEstimator, norms
 from .policies import Policy
 
@@ -435,13 +436,15 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
     before that round's action: twice the exploration radius, ``V`` and
     ``V_inv`` of the one estimator of the shared design, and the (n_reps,
     d) credited sums of all replications. The next block overwrites
-    ``radii``, ``Vs`` and ``V_invs``. Python runs once per round only for
-    the estimator's update; conversions are scheduled and credited a block
-    at a time. Replication ``rep`` draws its rewards and delays from the
-    streams of run ``rep`` of ``base_seed + 1``, in the episodes' blocks,
-    and its conversions are credited by the estimator's window rule. A
-    replication holds one block of draws (about 16 KB) and its credited
-    conversions in flight, whatever the horizon.
+    ``radii``, ``Vs`` and ``V_invs``. The estimator folds the block's
+    actions in one ``record_actions`` call, which also fills ``Vs`` and
+    ``V_invs``; Python runs once per round only for its rank-one chain and
+    the radius. Conversions are scheduled and credited a block at a time.
+    Replication ``rep`` draws its rewards and delays from the streams of
+    run ``rep`` of ``base_seed + 1``, in the episodes' blocks, and its
+    conversions are credited by the estimator's window rule. A replication
+    holds one block of draws (about 16 KB) and its credited conversions in
+    flight, whatever the horizon.
     """
     T, d, n = config.T, config.d, CHECK_BLOCK_ROUNDS
     est = WindowedEstimator(d, config.lam, config.episode_window)
@@ -464,10 +467,10 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
                 uniforms[rep], delays[rep] = outcome_block(config.resolved_delay,
                                                            reward_rng, delay_rng)
         k = min(n, T + 1 - t0)
-        for i, a in enumerate(actions[t0 - 1:t0 - 1 + k]):
-            radii[i] = 2.0 * est.exploration_radius(config.delta)
-            Vs[i], V_invs[i] = est.V, est.V_inv
-            est.record_action(a)
+        for i in range(k):
+            radii[i] = 2.0 * estimator.exploration_radius_at(t0 - 1 + i, d, est.lam,
+                                                             config.delta)
+        est.record_actions(actions[t0 - 1:t0 - 1 + k], (Vs[:k], V_invs[:k]))
         # the block's conversions in round order, then replication order;
         # a delay clipped at T reveals after the horizon all the same, and
         # the reveal round cannot overflow
@@ -513,9 +516,9 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
     exploration radius plus a window penalty that is never negative, so a
     deviation within twice the radius passes without the penalty. Only the
     rounds where some live deviation is above it are walked, and their
-    width is that of a second estimator fed the same actions up to that
-    round. Checking stops after the block in which the last replication
-    fails.
+    width is that of a second estimator that catches up on the same
+    actions, a block at a time, up to that round. Checking stops after the
+    block in which the last replication fails.
     """
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
@@ -536,8 +539,7 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
             if checks == 0:  # those replications failed earlier in the block
                 continue
             penalty_checks += checks
-            while replay.t < t0 + i:
-                replay.record_action(actions[replay.t - 1])
+            replay.record_actions(actions[replay.t - 1:t0 + i - 1])
             # the width is at least twice the radius: only those above it fail
             live[lhs[i] > replay.confidence_width(config.delta)] = False
             alive[i + 1:] = live

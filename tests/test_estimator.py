@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delayed_bandits import estimator
 from delayed_bandits.environment import NORM_TOL, ActionSet
 from delayed_bandits.estimator import WindowedEstimator, norms
 
@@ -119,7 +120,108 @@ class TestRecordAction:
         with np.errstate(over="ignore", invalid="ignore"):
             est.record_action(E1)
         assert np.all(np.isfinite(est.V_inv))
-        assert est._inverse_error() <= 1e-8
+        assert est._inverse_error(est.V, est.V_inv) <= 1e-8
+
+
+def state_bytes(est):
+    """Every part of an estimator's state that recording actions changes, as
+    bytes; the ring's rows only as far as they are filled."""
+    return (est.V.tobytes(), est.V_inv.tobytes(), np.float64(est.potential).tobytes(),
+            est.t, est._size, est._actions[:est._size].tobytes(),
+            est._converted.tobytes())
+
+
+def fold_both_ways(A, d, lam, m, cuts):
+    """Fold ``A`` by one ``record_action`` per row and by ``record_actions``
+    on the blocks between ``cuts``; return both estimators and, for each,
+    the (V, V_inv) bytes before every row."""
+    single, block = WindowedEstimator(d, lam, m), WindowedEstimator(d, lam, m)
+    before = []
+    for a in A:
+        before.append((single.V.tobytes(), single.V_inv.tobytes()))
+        single.record_action(a)
+    Vs, V_invs = np.empty((2, len(A), d, d))
+    for lo, hi in zip(cuts, cuts[1:]):
+        block.record_actions(A[lo:hi], (Vs[lo:hi], V_invs[lo:hi]))
+    return single, block, before, [(V.tobytes(), V_inv.tobytes()) for V, V_inv in zip(Vs, V_invs)]
+
+
+class TestRecordActions:
+    """The block form leaves the bits of one ``record_action`` per row."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_equals_single_calls(self, seed):
+        # d up to 24 gives several chunk sizes; 1100-2300 rows cross the re-inversion at t = 1000, and one
+        # block always spans it; blocks of one and two rows are folded by
+        # single calls
+        rng = np.random.default_rng(seed)
+        d, m, T = int(rng.integers(1, 25)), int(rng.integers(0, 300)), int(rng.integers(1100, 2300))
+        lam = float(rng.uniform(0.05, 3.0))
+        A = random_unit_ball_actions(rng, T, d)
+        cuts = rng.integers(1, T, size=int(rng.integers(1, 30)))
+        short = int(rng.integers(1020, T - 3))
+        cuts = sorted({0, T, short, short + 1, short + 3,
+                       *cuts[(cuts < 990) | (cuts > 1010)].tolist()})
+        single, block, before, states = fold_both_ways(A, d, lam, m, cuts)
+        assert state_bytes(block) == state_bytes(single)
+        assert states == before
+        # without out, the same state
+        quiet = WindowedEstimator(d, lam, m)
+        for lo, hi in zip(cuts, cuts[1:]):
+            quiet.record_actions(A[lo:hi])
+        assert state_bytes(quiet) == state_bytes(single)
+
+    @pytest.mark.parametrize("d, tol", [(3, 0.0), (5, 2e-16), (12, 1e-15), (30, 1.5e-15)])
+    def test_failed_fidelity_tests_re_invert_where_single_calls_do(self, monkeypatch, d, tol):
+        # at a tiny tolerance the fidelity test fails on many rows (at 0 on
+        # every one), so blocks roll back and resume again and again; both
+        # forms re-invert the same design matrices, in the same order
+        monkeypatch.setattr(estimator, "_FIDELITY_TOL", tol)
+        inverted = []
+        invert = estimator._inverted
+        monkeypatch.setattr(estimator, "_inverted",
+                            lambda V: inverted.append(V.tobytes()) or invert(V))
+        # a failed test costs the block form at most the rest of its chunk
+        # again, folded row by row, not a whole new chunk
+        rank_ones = []
+        rank_one = estimator._rank_one
+        monkeypatch.setattr(estimator, "_rank_one",
+                            lambda V_inv, a: rank_ones.append(1) or rank_one(V_inv, a))
+        rng = np.random.default_rng(d)
+        A = random_unit_ball_actions(rng, 1300, d)
+        cuts = sorted({0, 1300, *rng.integers(1, 1300, size=10).tolist()})
+        single, block, before, states = fold_both_ways(A, d, 1.0, 50, cuts)
+        by_single, by_block = inverted[:len(inverted) // 2], inverted[len(inverted) // 2:]
+        assert 1 < len(by_single) <= 1300
+        assert len(by_block) == len(by_single) and by_block == by_single
+        assert 1300 <= len(rank_ones) - 1300 <= 3 * 1300
+        assert state_bytes(block) == state_bytes(single)
+        assert states == before
+
+    @pytest.mark.parametrize("row", [0, 50, 99])
+    @pytest.mark.parametrize("bad", [1.0 + 2 * NORM_TOL, np.nan, np.inf])
+    def test_one_bad_row_raises_and_changes_nothing(self, row, bad):
+        # at d = 30 the 100 rows are folded in three chunks; a bad row in
+        # the last one must stop the first
+        rng = np.random.default_rng(9)
+        est = WindowedEstimator(d=30, lam=1.0, m=3)
+        est.record_actions(random_unit_ball_actions(rng, 5, 30))
+        A = random_unit_ball_actions(rng, 100, 30)
+        assert estimator.STACK_ENTRIES // 30**2 < 50
+        A[row] = 0.0
+        A[row, 7] = bad
+        Vs, V_invs = np.zeros((2, 100, 30, 30))
+        state = state_bytes(est)
+        with pytest.raises(ValueError, match="norm exceeds 1"):
+            est.record_actions(A, (Vs, V_invs))
+        assert state_bytes(est) == state
+        assert not Vs.any() and not V_invs.any()
+
+    def test_dimension_mismatch(self):
+        est = WindowedEstimator(d=3, lam=1.0, m=2)
+        for A in (np.ones((4, 2)) / 2, np.ones(3) / 2):
+            with pytest.raises(ValueError, match="does not match"):
+                est.record_actions(A)
 
 
 class TestRecordConversion:
@@ -295,7 +397,7 @@ class TestNumericalInvariants:
                 assert np.array_equal(est.V_inv, est.V_inv.T)
                 np.linalg.cholesky(est.V)
                 np.linalg.cholesky(est.V_inv)
-                assert est._inverse_error() <= 1e-8
+                assert est._inverse_error(est.V, est.V_inv) <= 1e-8
                 assert np.all(np.isfinite(norms(actions[t - 10_000:t], est.V_inv)))
 
     def test_elliptical_potential_bound(self):

@@ -600,14 +600,14 @@ class TestConcentrationCoverage:
             return 1e-12 * bounds.exploration_radius_at(n, d, lam, delta)
 
         monkeypatch.setattr(estimator, "exploration_radius_at", tiny)
-        calls = []
-        record = WindowedEstimator.record_action
-        monkeypatch.setattr(WindowedEstimator, "record_action",
-                            lambda est, a: calls.append(a) or record(est, a))
+        rows = []
+        record = WindowedEstimator.record_actions
+        monkeypatch.setattr(WindowedEstimator, "record_actions",
+                            lambda est, A, out=None: rows.extend(A) or record(est, A, out))
         config = replace(TENTH_RADIUS, T=400)
         assert config.T > 3 * harness.CHECK_BLOCK_ROUNDS
         assert concentration_coverage(config, 5).coverage == 0.0
-        assert len(calls) <= harness.CHECK_BLOCK_ROUNDS
+        assert len(rows) == harness.CHECK_BLOCK_ROUNDS
 
     def test_window_penalty_decides_a_long_fixed_delay(self):
         # every conversion arrives exactly m rounds late, so the estimate
@@ -931,20 +931,28 @@ class TestRandomnessLayout:
         assert at_once.bit_generator.state == one_by_one.bit_generator.state
 
     def test_coverage_plays_the_random_policy_s_first_run(self, monkeypatch):
+        # coverage records its actions a block at a time, an episode one
+        # round at a time
         played = []
-        record = WindowedEstimator.record_action
+        record, record_block = WindowedEstimator.record_action, WindowedEstimator.record_actions
 
         def recording(est, a):
             played.append(np.array(a))
             record(est, a)
 
+        def recording_block(est, A, out=None):
+            played.extend(np.array(A))
+            record_block(est, A, out)
+
         config = ExperimentConfig(T=400, delay_mean=20.0, m=40, policy="random",
                                   base_seed=6)
         monkeypatch.setattr(WindowedEstimator, "record_action", recording)
+        monkeypatch.setattr(WindowedEstimator, "record_actions", recording_block)
         # all replications share one design: T actions in all
         assert concentration_coverage(config, 3).coverage == 1.0
         assert len(played) == config.T
         coverage_actions = np.stack(played)
         played.clear()
         run_episode(config, 0)
+        assert len(played) == config.T
         assert np.array_equal(coverage_actions, np.stack(played))
