@@ -10,7 +10,8 @@ run keeps its cumulative regret at every ``EVERY``-th round and at round
 fixed-basis hard instance, is played the same way. For A-D at the preset's
 own horizon, for ``LONG_DELAY`` and for ``K_ARMED_HARD``, it also keeps the
 three ``Coverage`` fields of ``concentration_coverage`` with ``REPS``
-replications. A change that moves
+replications; so it does for ``WIDE``, preset A's scenario at two larger
+dimensions. A change that moves
 outputs on purpose regenerates the file with this script and says why.
 """
 
@@ -20,7 +21,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from delayed_bandits.harness import (RNG_LAYOUT, ExperimentConfig, build_config,
+from delayed_bandits.harness import (PRESETS, RNG_LAYOUT, ExperimentConfig, build_config,
                                      concentration_coverage, run_episode)
 
 GOLDEN = Path(__file__).with_name(f"golden_layout{RNG_LAYOUT}.json")
@@ -39,6 +40,11 @@ LONG_DELAY = ExperimentConfig(d=2, K=10, T=3000, delay="geometric", delay_mean=1
 # same every round
 K_ARMED_HARD = dict(d=6, K=6, T=T, theta="k_armed_hard", hard_gap=0.15,
                     action_mode="fixed_basis", delay_mean=30.0, m=60)
+# coverage at T rounds of preset A's scenario where the estimator folds each
+# 128-round block in three chunks (d = 24) or row by row, every chunk being
+# too short (d = 50); the block of rounds 897-1024 holds the periodic
+# re-inversion at round 1000
+WIDE = {f"A_d{d}": ExperimentConfig(**{**PRESETS["A"], "d": d, "T": T}) for d in (24, 50)}
 
 
 def golden_values() -> dict:
@@ -59,6 +65,8 @@ def golden_values() -> dict:
                 }
         coverage[name] = concentration_coverage(build_config(values, preset), REPS)._asdict()
     coverage["long_delay"] = concentration_coverage(LONG_DELAY, REPS)._asdict()
+    for name, config in WIDE.items():
+        coverage[name] = concentration_coverage(config, REPS)._asdict()
     return {"rng_layout": RNG_LAYOUT, "T": T, "rounds": rounds, "reps": REPS,
             "episodes": episodes, "coverage": coverage}
 
