@@ -34,7 +34,8 @@ STACK_ENTRIES = 32_768
 #: fewest rows per chunk at which a coverage call is faster by chunks than
 #: row by row (``sweep.chunk_crossover`` in BENCH_coverage_record.json:
 #: faster at 20 rows, d = 40, slower at 16, d = 45); below it (a short
-#: block, or d above 40) ``record_actions`` folds one row at a time
+#: block, a chunk cut short by the periodic re-inversion, or d above 40)
+#: ``record_actions`` folds one row at a time
 _MIN_BLOCK_ROWS = 20
 
 
@@ -114,7 +115,7 @@ class WindowedEstimator:
 
     def _fold(self, a: np.ndarray) -> None:
         """``record_action``'s update of an action whose norm is checked;
-        ``record_actions`` folds single rows with it."""
+        ``record_actions`` folds a chunk row by row with it."""
         # a[:, None] * a is the product np.outer(a, a) forms, without its
         # wrapper's reshaping passes
         self.V += a[:, None] * a
@@ -136,17 +137,17 @@ class WindowedEstimator:
         receives V and V_inv as they were before each row.
 
         Every row's norm is checked before any state changes. The rows are
-        then folded in chunks of ``STACK_ENTRIES // d**2`` rows: the design
+        then folded in chunks, each ending after ``STACK_ENTRIES // d**2``
+        rows (at least one) or at the next periodic re-inversion. A chunk of
+        at least ``_MIN_BLOCK_ROWS`` rows is folded at once: the design
         matrices by adding the rank-one terms one at a time, as
         ``record_action`` does, the inverses by the rank-one chain, then
-        every row's fidelity test at once. At the first row that fails it
-        or reaches the periodic re-inversion, the inverse is re-inverted
-        there; after a periodic re-inversion the next chunk starts at the
-        next row, after a failed test the chunk's remaining rows are folded
-        one at a time, so a failed test costs at most the rest of its chunk
-        again, not a new chunk. Where a chunk would hold fewer than
-        ``_MIN_BLOCK_ROWS`` rows, each row is folded as ``record_action``
-        folds it.
+        every row's fidelity test in one batched product. If every row
+        passes, the chunk is kept whole, re-inverted after its last row if
+        that row is periodic. Otherwise, and for a shorter chunk, each row
+        of the chunk is folded as ``record_action`` folds it. So every
+        round is tested, the same rounds are re-inverted, and a failed test
+        costs at most its chunk again.
         """
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[1] != self.d:
@@ -154,60 +155,46 @@ class WindowedEstimator:
         # each row's a @ a, as a batch of (1, d) @ (d, 1) products
         if not (A[:, None] @ A[:, :, None]).max(initial=0.0) <= _MAX_SQ_NORM:  # NaN too
             raise ValueError("action norm exceeds 1 or is not finite")
-        d, done = self.d, 0
-        chunk = min(STACK_ENTRIES // (d * d), len(A))
-        if chunk < _MIN_BLOCK_ROWS:  # too few rows per chunk to repay its set-up
-            self._fold_each(A, out)
-            return
+        d, start = self.d, 0
+        size = max(1, STACK_ENTRIES // (d * d))
         # a chunk's states: entry i before its row i, entry k after its last
-        Vs, V_invs = np.empty((2, chunk + 1, d, d))
-        while done < len(A):
-            rows = A[done:done + chunk]
-            k = len(rows)
+        Vs, V_invs = np.empty((2, min(size, len(A)) + 1, d, d))
+        while start < len(A):
+            k = min(size, len(A) - start, (-self.t) % _REINVERT_PERIOD + 1)
+            rows = A[start:start + k]
             V, V_inv = Vs[:k + 1], V_invs[:k + 1]
-            V[0], V_inv[0] = self.V, self.V_inv
-            np.multiply(rows[:, :, None], rows[:, None], out=V[1:])
-            for i in range(k):
-                V[i + 1] += V[i]
-            potentials = []
-            potential = self.potential
-            for i, a in enumerate(rows):
-                term, sq = _rank_one(V_inv[i], a)
-                np.subtract(V_inv[i], term, out=V_inv[i + 1])
-                potential += sq
-                potentials.append(potential)
-            # the first row that reaches the periodic re-inversion or fails
-            # the fidelity test (NaN too); none if it is k or later
-            periodic = (-self.t) % _REINVERT_PERIOD
-            failed = np.flatnonzero(~(self._inverse_error(V[1:], V_inv[1:]) <= _FIDELITY_TOL))
-            first = min(periodic, int(failed[0])) if failed.size else periodic
-            n = min(first + 1, k)  # rows kept
-            if first < k:
-                V_inv[n] = _inverted(V[n])
-            if out is not None:
-                out[0][done:done + n], out[1][done:done + n] = V[:n], V_inv[:n]
-            self.V[...], self.V_inv[...] = V[n], V_inv[n]
-            self.potential = potentials[n - 1]
-            # only the last rows that fit in the ring are stored
-            kept = rows[max(0, n - self._rows):n]
-            slots = np.arange(self.t - 1 + n - len(kept), self.t - 1 + n) % self._rows
-            self._actions[slots] = kept
-            self._converted[slots] = False
-            self._size = min(self._size + n, self.m + 1)
-            self.t += n
-            done += n
-            if failed.size and failed[0] < periodic:
-                self._fold_each(rows[n:], None if out is None else
-                                (out[0][done:done + k - n], out[1][done:done + k - n]))
-                done += k - n
-
-    def _fold_each(self, A: np.ndarray, out: Optional[tuple]) -> None:
-        """Fold the checked rows of ``A`` one at a time; ``out`` as in
-        ``record_actions``."""
-        for i, a in enumerate(A):
-            if out is not None:
-                out[0][i], out[1][i] = self.V, self.V_inv
-            self._fold(a)
+            whole = k >= _MIN_BLOCK_ROWS  # a shorter chunk does not repay its set-up
+            if whole:
+                V[0], V_inv[0] = self.V, self.V_inv
+                np.multiply(rows[:, :, None], rows[:, None], out=V[1:])
+                potential = self.potential
+                for i, a in enumerate(rows):
+                    V[i + 1] += V[i]
+                    term, sq = _rank_one(V_inv[i], a)
+                    np.subtract(V_inv[i], term, out=V_inv[i + 1])
+                    potential += sq
+                # NaN fails the test too
+                whole = bool((self._inverse_error(V[1:], V_inv[1:]) <= _FIDELITY_TOL).all())
+            if whole:
+                if (self.t + k - 1) % _REINVERT_PERIOD == 0:
+                    V_inv[k] = _inverted(V[k])
+                if out is not None:
+                    out[0][start:start + k], out[1][start:start + k] = V[:k], V_inv[:k]
+                self.V[...], self.V_inv[...] = V[k], V_inv[k]
+                self.potential = potential
+                # only the last rows that fit in the ring are stored
+                kept = rows[-self._rows:]
+                slots = np.arange(self.t - 1 + k - len(kept), self.t - 1 + k) % self._rows
+                self._actions[slots] = kept
+                self._converted[slots] = False
+                self._size = min(self._size + k, self.m + 1)
+                self.t += k
+            else:
+                for i, a in enumerate(rows, start):
+                    if out is not None:
+                        out[0][i], out[1][i] = self.V, self.V_inv
+                    self._fold(a)
+            start += k
 
     def record_conversion(self, round_index: int) -> None:
         """Credit a revealed conversion to its action, if still in the window.

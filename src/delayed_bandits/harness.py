@@ -438,8 +438,9 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
     d) credited sums of all replications. The next block overwrites
     ``radii``, ``Vs`` and ``V_invs``. The estimator folds the block's
     actions in one ``record_actions`` call, which also fills ``Vs`` and
-    ``V_invs``; Python runs once per round only for its rank-one chain and
-    the radius. Conversions are scheduled and credited a block at a time.
+    ``V_invs``, each chunk of rows whole or row by row; Python runs once
+    per round only for the rank-one step and the radius. Conversions are
+    scheduled and credited a block at a time.
     Replication ``rep`` draws its rewards and delays from the streams of
     run ``rep`` of ``base_seed + 1``, in the episodes' blocks, and its
     conversions are credited by the estimator's window rule. A replication

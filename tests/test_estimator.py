@@ -131,11 +131,15 @@ def state_bytes(est):
             est._converted.tobytes())
 
 
-def fold_both_ways(A, d, lam, m, cuts):
-    """Fold ``A`` by one ``record_action`` per row and by ``record_actions``
-    on the blocks between ``cuts``; return both estimators and, for each,
-    the (V, V_inv) bytes before every row."""
+def fold_both_ways(A, d, lam, m, cuts, t=1):
+    """Fold ``A`` from round ``t`` on by one ``record_action`` per row and by
+    ``record_actions`` on the blocks between ``cuts``; return both
+    estimators and, for each, the (V, V_inv) bytes before every row."""
     single, block = WindowedEstimator(d, lam, m), WindowedEstimator(d, lam, m)
+    for est in (single, block):
+        # a ring filled from round t on leaves rows before its _size unset
+        est.t = t
+        est._actions.fill(0.0)
     before = []
     for a in A:
         before.append((single.V.tobytes(), single.V_inv.tobytes()))
@@ -174,15 +178,15 @@ class TestRecordActions:
     @pytest.mark.parametrize("d, tol", [(3, 0.0), (5, 2e-16), (12, 1e-15), (30, 1.5e-15)])
     def test_failed_fidelity_tests_re_invert_where_single_calls_do(self, monkeypatch, d, tol):
         # at a tiny tolerance the fidelity test fails on many rows (at 0 on
-        # every one), so blocks roll back and resume again and again; both
-        # forms re-invert the same design matrices, in the same order
+        # every one), so chunks are folded again row by row, again and again;
+        # both forms re-invert the same design matrices, in the same order
         monkeypatch.setattr(estimator, "_FIDELITY_TOL", tol)
         inverted = []
         invert = estimator._inverted
         monkeypatch.setattr(estimator, "_inverted",
                             lambda V: inverted.append(V.tobytes()) or invert(V))
-        # a failed test costs the block form at most the rest of its chunk
-        # again, folded row by row, not a whole new chunk
+        # a failed test costs the block form at most its chunk again, folded
+        # row by row: at most two rank-one steps a row
         rank_ones = []
         rank_one = estimator._rank_one
         monkeypatch.setattr(estimator, "_rank_one",
@@ -194,7 +198,32 @@ class TestRecordActions:
         by_single, by_block = inverted[:len(inverted) // 2], inverted[len(inverted) // 2:]
         assert 1 < len(by_single) <= 1300
         assert len(by_block) == len(by_single) and by_block == by_single
-        assert 1300 <= len(rank_ones) - 1300 <= 3 * 1300
+        assert 1300 <= len(rank_ones) - 1300 <= 2 * 1300
+        assert state_bytes(block) == state_bytes(single)
+        assert states == before
+
+    @pytest.mark.parametrize("d, t, n", [
+        (50, 1, 1100),   # every chunk of 13 rows, too short: row by row
+        (200, 985, 40),  # STACK_ENTRIES // d**2 is 0: chunks of one row
+        (5, 1000, 300),  # a block whose first row is a periodic round
+        (5, 990, 300),   # the periodic round cuts a chunk to 11 rows
+        (5, 950, 300),   # and to 51 rows, kept whole and then re-inverted
+        (24, 1, 1100),   # chunks of 56, 56 and 16 rows a block
+    ])
+    def test_every_chunk_shape_equals_single_calls(self, monkeypatch, d, t, n):
+        # blocks of 128 rows from round t, as coverage folds them; both
+        # forms re-invert the same design matrices, in the same order, and
+        # where every test passes the block form takes one rank-one step a row
+        inverted, rank_ones = [], []
+        invert, rank_one = estimator._inverted, estimator._rank_one
+        monkeypatch.setattr(estimator, "_inverted",
+                            lambda V: inverted.append(V.tobytes()) or invert(V))
+        monkeypatch.setattr(estimator, "_rank_one",
+                            lambda V_inv, a: rank_ones.append(1) or rank_one(V_inv, a))
+        A = random_unit_ball_actions(np.random.default_rng(d + t), n, d)
+        single, block, before, states = fold_both_ways(A, d, 1.0, 60, [*range(0, n, 128), n], t)
+        assert t + n - 1 >= 1000 and inverted[:len(inverted) // 2] == inverted[len(inverted) // 2:]
+        assert len(rank_ones) == 2 * n
         assert state_bytes(block) == state_bytes(single)
         assert states == before
 
