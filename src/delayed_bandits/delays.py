@@ -67,7 +67,9 @@ class GeometricDelay(DelayDistribution):
     def cdf(self, m: int) -> float:
         if m < 0:
             return 0.0
-        return 1.0 - (1.0 - self.p) ** (m + 1)
+        # 1 - (1 - p)^(m + 1) without cancelling: 1 - p rounds to 1 once p
+        # is below 1.1e-16, and loses p's low digits long before that
+        return -math.expm1((m + 1) * math.log1p(-self.p))
 
     def mean(self) -> float:
         return self.mean_delay

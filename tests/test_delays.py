@@ -1,7 +1,9 @@
 """Delay distribution behavior: sampling, CDFs, windows, file loading."""
 
+import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,18 @@ class TestGeometric:
     def test_inverse_capture_at_window_100_of_mean_500(self):
         tau = GeometricDelay(500).cdf(100)
         assert 1.0 / tau == pytest.approx(5.5, abs=0.1)
+
+    @pytest.mark.parametrize("mean, m", [(100.0, 100), (100.0, 500), (500.0, 100)])
+    def test_cdf_matches_exact_fraction(self, mean, m):
+        # presets A, B and C: 1 - (1 - p)^(m + 1) in exact rationals with
+        # p = 1 / (mean + 1); at C the direct float formula is 2.4e-14 off
+        exact = 1 - (1 - 1 / (Fraction(mean) + 1)) ** (m + 1)
+        assert GeometricDelay(mean).cdf(m) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    def test_cdf_of_a_huge_mean(self):
+        # 1 - p rounds to 1.0, but P(D <= 2 mean) is still about 1 - e^-2
+        assert GeometricDelay(1e17).cdf(2 * 10**17) == pytest.approx(
+            -math.expm1(-2.0), rel=1e-15, abs=0)
 
     def test_monte_carlo_cdf_matches_closed_form(self):
         rng = np.random.default_rng(11)
