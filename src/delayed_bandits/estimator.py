@@ -12,14 +12,12 @@ flight.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .bounds import exploration_radius_at
 from .environment import NORM_TOL
 
-__all__ = ["WindowedEstimator", "norms"]
+__all__ = ["WindowedEstimator", "norms", "window_penalty"]
 
 # Re-invert from scratch whenever the rank-one updated inverse drifts past
 # this (or goes NaN), and unconditionally every _REINVERT_PERIOD updates.
@@ -44,6 +42,16 @@ def norms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     (d, d) ``M`` or (n, k, d) under (n, d, d) ``M``s; a square that rounds
     below 0 is clipped."""
     return np.sqrt(np.maximum(np.einsum("...i,...i->...", A @ M, A), 0.0))
+
+
+def window_penalty(ring: np.ndarray, V_inv: np.ndarray, oldest: int | None) -> float:
+    """The window penalty: the norms of the ring's rows under ``V_inv``
+    summed in ring order, which sets its bits, without row ``oldest``
+    (``None``: without none)."""
+    ring = norms(ring, V_inv)
+    if oldest is not None:
+        ring[oldest] = 0.0
+    return float(ring.sum())
 
 
 def _rank_one(V_inv: np.ndarray, a: np.ndarray) -> tuple:
@@ -131,10 +139,10 @@ class WindowedEstimator:
         self._size = min(self._size + 1, self.m + 1)
         self.t += 1
 
-    def record_actions(self, A: np.ndarray, out: Optional[tuple] = None) -> None:
+    def record_actions(self, A: np.ndarray, out: tuple) -> None:
         """Fold the rows of the (k, d) array ``A`` in order, leaving the bits
-        of k ``record_action`` calls. ``out``, a pair of (k, d, d) arrays,
-        receives V and V_inv as they were before each row.
+        of k ``record_action`` calls, and fill ``out``, coverage's pair of
+        (k, d, d) arrays, with V and V_inv as they were before each row.
 
         Every row's norm is checked before any state changes. The rows are
         then folded in chunks, each ending after ``STACK_ENTRIES // d**2``
@@ -178,8 +186,7 @@ class WindowedEstimator:
             if whole:
                 if (self.t + k - 1) % _REINVERT_PERIOD == 0:
                     V_inv[k] = _inverted(V[k])
-                if out is not None:
-                    out[0][start:start + k], out[1][start:start + k] = V[:k], V_inv[:k]
+                out[0][start:start + k], out[1][start:start + k] = V[:k], V_inv[:k]
                 self.V[...], self.V_inv[...] = V[k], V_inv[k]
                 self.potential = potential
                 # only the last rows that fit in the ring are stored
@@ -191,8 +198,7 @@ class WindowedEstimator:
                 self.t += k
             else:
                 for i, a in enumerate(rows, start):
-                    if out is not None:
-                        out[0][i], out[1][i] = self.V, self.V_inv
+                    out[0][i], out[1][i] = self.V, self.V_inv
                     self._fold(a)
             start += k
 
@@ -228,13 +234,10 @@ class WindowedEstimator:
 
     def window_norm_sum(self) -> float:
         """Sum of the penalty rounds' action norms under the current inverse
-        design matrix: one product of the ring with ``V_inv`` per call."""
-        if self._size == 0:
-            return 0.0
-        ring = norms(self._actions[:self._size], self.V_inv)
-        if self._size > self.m:  # the oldest ring round is past the penalty
-            ring[(self.t - 1 - self._size) % self._rows] = 0.0
-        return float(ring.sum())
+        design matrix: ``window_penalty`` of the ring, whose oldest round is
+        past the penalty once the ring is full."""
+        oldest = (self.t - 1 - self._size) % self._rows if self._size > self.m else None
+        return window_penalty(self._actions[:self._size], self.V_inv, oldest)
 
     def confidence_width(self, delta: float) -> float:
         """Full confidence-ellipsoid radius: twice the exploration radius

@@ -40,7 +40,7 @@ from .environment import (
     outcome_block,
 )
 from . import estimator
-from .estimator import WindowedEstimator, norms
+from .estimator import WindowedEstimator, norms, window_penalty
 from .policies import Policy
 
 __all__ = [
@@ -516,16 +516,18 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
     A block's deviations are computed at once. The width is twice the
     exploration radius plus a window penalty that is never negative, so a
     deviation within twice the radius passes without the penalty. Only the
-    rounds where some live deviation is above it are walked, and their
-    width is that of a second estimator that catches up on the same
-    actions, a block at a time, up to that round. Checking stops after the
-    block in which the last replication fails.
+    rounds where some live deviation is above it are walked. Their penalty
+    is ``window_penalty`` of the estimator's ring at that round, whose rows
+    are rows of the action sequence, under the ``V_inv`` that
+    ``_lockstep_blocks`` yields for it: the bits of the estimator's own
+    ``confidence_width``. Checking stops after the block in which the last
+    replication fails.
     """
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
     actions, means = _coverage_sequence(config)
     target = config.tau_m * config.resolve_theta
-    replay = WindowedEstimator(config.d, config.lam, config.episode_window)
+    rows = config.episode_window + 1  # the estimator's ring
     live = np.ones(n_reps, dtype=bool)
     penalty_checks, max_ratio = 0, 0.0
     for t0, radii, Vs, V_invs, Bs in _lockstep_blocks(config, actions, means, n_reps):
@@ -540,9 +542,14 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
             if checks == 0:  # those replications failed earlier in the block
                 continue
             penalty_checks += checks
-            replay.record_actions(actions[replay.t - 1:t0 + i - 1])
+            # the estimator's ring before round t0 + i: the last size rows,
+            # each in its slot, so the penalty sums them in the same order
+            size = min(t0 + i - 1, rows)
+            start = t0 + i - 1 - size
+            ring = np.roll(actions[start:start + size], start % rows, axis=0)
+            penalty = window_penalty(ring, V_invs[i], start % rows if size == rows else None)
             # the width is at least twice the radius: only those above it fail
-            live[lhs[i] > replay.confidence_width(config.delta)] = False
+            live[lhs[i] > radii[i] + penalty] = False
             alive[i + 1:] = live
         peaks = lhs.max(axis=1, where=alive, initial=0.0)
         max_ratio = max(max_ratio, float((peaks / radii).max()))

@@ -603,7 +603,7 @@ class TestConcentrationCoverage:
         rows = []
         record = WindowedEstimator.record_actions
         monkeypatch.setattr(WindowedEstimator, "record_actions",
-                            lambda est, A, out=None: rows.extend(A) or record(est, A, out))
+                            lambda est, A, out: rows.extend(A) or record(est, A, out))
         config = replace(TENTH_RADIUS, T=400)
         assert config.T > 3 * harness.CHECK_BLOCK_ROUNDS
         assert concentration_coverage(config, 5).coverage == 0.0
@@ -622,6 +622,33 @@ class TestConcentrationCoverage:
         assert result.coverage == want
         # every check passed, so each one above twice the radius is counted
         assert result.penalty_checks == penalty_decided
+
+    def test_penalty_is_the_estimator_s_window_norm_sum(self, monkeypatch):
+        # the penalty decides checks before and after the ring fills (m + 1
+        # = 501 rows). Each penalty coverage computes takes the V_inv of one
+        # round of an estimator fed the same actions one at a time, and its
+        # ring rows, oldest row and sum have that estimator's bits there
+        config = ExperimentConfig(d=5, K=10, T=1000, delay="fixed", delay_value=500,
+                                  m=500, base_seed=0)
+        actions, _ = harness._coverage_sequence(config)
+        est = WindowedEstimator(config.d, config.lam, config.episode_window)
+        penalty, oldests = harness.window_penalty, []
+
+        def checked(ring, V_inv, oldest):
+            while est.V_inv.tobytes() != V_inv.tobytes():  # the round it was taken at
+                est.record_action(actions[est.t - 1])
+            assert ring.tobytes() == est._actions[:est._size].tobytes()
+            assert oldest == ((est.t - 1 - est._size) % est._rows if est._size > est.m
+                              else None)
+            got = penalty(ring, V_inv, oldest)
+            assert np.float64(got).tobytes() == np.float64(est.window_norm_sum()).tobytes()
+            oldests.append(oldest)
+            return got
+
+        monkeypatch.setattr(harness, "window_penalty", checked)
+        assert concentration_coverage(config, 10).coverage == 1.0
+        assert None in oldests  # before the ring fills
+        assert any(oldest is not None for oldest in oldests)  # and after
 
     def test_penalty_checks_and_deviation_ratio(self):
         # conversions m rounds late put deviations above twice the radius;
@@ -940,7 +967,7 @@ class TestRandomnessLayout:
             played.append(np.array(a))
             record(est, a)
 
-        def recording_block(est, A, out=None):
+        def recording_block(est, A, out):
             played.extend(np.array(A))
             record_block(est, A, out)
 
