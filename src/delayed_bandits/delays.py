@@ -168,7 +168,9 @@ class LognormalDelay(DelayDistribution):
             return 0.0
         # floor(L) <= m  iff  L < m + 1
         z = (math.log(m + 1.0) - self.log_mean) / self.log_std
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        # the normal CDF without cancelling: 1 + erf(z / sqrt 2) loses
+        # every digit of a lower-tail probability below about 1e-16
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
     def mean(self) -> float:
         return math.exp(self.log_mean + 0.5 * self.log_std**2)

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.delays import (
     EmpiricalDelay,
     FixedDelay,
@@ -200,6 +202,24 @@ class TestLognormal:
         rng = np.random.default_rng(4)
         sample_mean = dist.sample_n(rng, 1_000_000).mean()
         assert sample_mean < dist.mean() < sample_mean + 1.0
+
+    @pytest.mark.parametrize("log_mean, log_std, m", [
+        (7.0, 0.5, 10),      # lower tail: P(L < 11) is 1.7e-20
+        (7.0, 0.5, 0),       # deeper: 7.8e-45
+        (7.0, 1.2, 0),       # preset D's delay at m = 0: 2.7e-9
+        (0.0, 1.0, 0),       # the median
+        (7.0, 1.2, 2000),    # preset D's window
+        (3.0, 1.0, 500),     # upper tail
+        (7.0, 0.5, 10**7),   # far past the mean
+    ])
+    def test_cdf_matches_scipy(self, log_mean, log_std, m):
+        # floor(L) <= m iff L < m + 1; 0.5 * (1 + erf(z / sqrt 2)) reads 0
+        # in the first two cases and is 9e-9 off in the third
+        tau = LognormalDelay(log_mean, log_std).cdf(m)
+        want = stats.lognorm(log_std, scale=math.exp(log_mean)).cdf(m + 1)
+        assert tau == pytest.approx(want, rel=1e-12, abs=0)
+        # a window that captures anything keeps the regret bound finite
+        assert math.isfinite(regret_upper_bound(3000, 5, 1.0, 0.05, m, tau))
 
     def test_cdf_monotone(self):
         dist = LognormalDelay(7.0, 1.2)
