@@ -48,10 +48,10 @@ def window_penalty(ring: np.ndarray, V_inv: np.ndarray, oldest: int | None) -> f
     """The window penalty: the norms of the ring's rows under ``V_inv``
     summed in ring order, which sets its bits, without row ``oldest``
     (``None``: without none)."""
-    ring = norms(ring, V_inv)
+    each = norms(ring, V_inv)
     if oldest is not None:
-        ring[oldest] = 0.0
-    return float(ring.sum())
+        each[oldest] = 0.0
+    return float(each.sum())
 
 
 def _rank_one(V_inv: np.ndarray, a: np.ndarray) -> tuple:

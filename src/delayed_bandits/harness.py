@@ -546,8 +546,9 @@ def concentration_coverage(config: ExperimentConfig, n_reps: int) -> Coverage:
             # each in its slot, so the penalty sums them in the same order
             size = min(t0 + i - 1, rows)
             start = t0 + i - 1 - size
-            ring = np.roll(actions[start:start + size], start % rows, axis=0)
-            penalty = window_penalty(ring, V_invs[i], start % rows if size == rows else None)
+            oldest = start % rows
+            ring = np.roll(actions[start:start + size], oldest, axis=0)
+            penalty = window_penalty(ring, V_invs[i], oldest if size == rows else None)
             # the width is at least twice the radius: only those above it fail
             live[lhs[i] > radii[i] + penalty] = False
             alive[i + 1:] = live
