@@ -104,13 +104,15 @@ class FixedDelay(DelayDistribution):
 class EmpiricalDelay(DelayDistribution):
     """Uniform resampling from a finite pool of observed delays.
 
-    Raw samples are multiplied by ``scale`` and floored to integers at
-    construction, each of which must be below 2**63 (an int64 delay); only
-    the floored values are kept. They are the support, and the CDF and mean
-    are exact with respect to it.
+    ``samples`` is a 1-D sequence or array of raw delays; a float64 array
+    is read where it lies and never modified. Raw samples are multiplied
+    by ``scale`` and floored to integers at construction, each of which
+    must be below 2**63 (an int64 delay); only the floored int64 values
+    are kept, 8 bytes per sample. They are the support, and the CDF and
+    mean are exact with respect to it.
     """
 
-    samples: InitVar[tuple]
+    samples: InitVar[np.ndarray]
     scale: float = 1.0
     _values: np.ndarray = field(init=False, repr=False)
 
@@ -118,11 +120,14 @@ class EmpiricalDelay(DelayDistribution):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         raw = np.asarray(samples, dtype=float)
+        if raw.ndim != 1:
+            raise ValueError(f"delay samples must be one-dimensional, got shape {raw.shape}")
         if raw.size == 0:
             raise ValueError("empty delay sample set")
         if np.any(raw < 0):
             raise ValueError("negative delay sample")
-        floored = np.floor(self.scale * raw)
+        floored = self.scale * raw  # a new array: the caller's stays as it is
+        np.floor(floored, out=floored)
         fits = floored < 2.0**63  # an int64 delay; False for NaN too
         if not fits.all():
             raise ValueError(f"delay sample {raw[~fits][0]} times scale {self.scale} "
@@ -188,31 +193,38 @@ def recommended_window(dist: DelayDistribution) -> int:
     return int(math.ceil(2.0 * mu))
 
 
+def _checked_samples(path: Path, lines):
+    """The delay samples of ``lines``, one float per line; '#' starts a
+    comment line. Raises ValueError naming the file and the line."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            value = float(stripped)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {stripped!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite delay sample")
+        if value < 0:
+            raise ValueError(f"{path}:{lineno}: negative delay sample {value}")
+        yield value
+
+
 def load_empirical(path, scale: float = 1.0) -> EmpiricalDelay:
     """Read one non-negative number per line; '#' starts a comment line.
 
-    Raises ValueError naming the file, and the offending line on parse
-    failures, when it is not UTF-8 text, does not parse or is empty.
+    The lines are streamed into one float64 array, which ``EmpiricalDelay``
+    floors into its int64 pool: the load peaks at about 25 bytes per
+    sample. Raises ValueError naming the file, and the offending line on
+    parse failures, when it is not UTF-8 text, does not parse or is empty.
     """
     path = Path(path)
-    samples = []
-    try:  # line by line: a delay file may be large
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                try:
-                    value = float(stripped)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not a number: {stripped!r}") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: non-finite delay sample")
-                if value < 0:
-                    raise ValueError(f"{path}:{lineno}: negative delay sample {value}")
-                samples.append(value)
+            samples = np.fromiter(_checked_samples(path, fh), dtype=float)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    if not samples:
+    if samples.size == 0:
         raise ValueError(f"empty delay sample file: {path}")
-    return EmpiricalDelay(samples=tuple(samples), scale=scale)
+    return EmpiricalDelay(samples, scale=scale)

@@ -4,7 +4,8 @@ A single episode wires one environment, one policy, and per-run random
 streams derived from ``base_seed + run_index``, one per source
 (``RNG_LAYOUT``). Batches are share-nothing across replications and
 aggregate in run-id order, so serial and parallel execution produce
-identical results. ``ExperimentConfig`` is the one
+identical results; a worker process receives the config once, when it
+starts, and each task only its run index. ``ExperimentConfig`` is the one
 configuration type: it is validated when it is built, policies read it
 directly, and an episode's elliptical potential is the one its policy's
 estimator sums.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -85,8 +85,8 @@ class ExperimentConfig:
     (``resolved_delay``, theta, window, ``tau_m``), so an instance that
     exists is valid; a failed check or resolution raises ``ConfigError``.
     The derived values are cached properties, kept in the instance
-    ``__dict__``, so they travel with the pickled config to worker
-    processes. ``dataclasses.replace`` builds, validates and resolves a
+    ``__dict__``, so they reach each worker process with the config, once,
+    when the worker starts (see ``run_batch``). ``dataclasses.replace`` builds, validates and resolves a
     new instance. ``build_delay()`` constructs a new distribution on
     every call. The fields are in ``metadata.txt`` order, because
     ``resolved_items`` walks them.
@@ -386,14 +386,35 @@ def summarize(traces: list) -> SummaryStats:
                         final_quantiles=quantiles)
 
 
+# the config of a worker process, set once when it starts
+_worker_config: Optional[ExperimentConfig] = None
+
+
+def _start_worker(config: ExperimentConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _run_in_worker(run_index: int) -> RegretTrace:
+    # through the module global, as the serial path calls it
+    return run_episode(_worker_config, run_index)
+
+
 def run_batch(config: ExperimentConfig) -> tuple[list, SummaryStats]:
-    """Run ``n_runs`` independent episodes, serially or in worker processes."""
+    """Run ``n_runs`` independent episodes, serially or in worker processes.
+
+    Each worker receives the config, with its resolved delay, once when it
+    starts: a forked worker inherits it, and under spawn or forkserver it
+    is pickled once per worker. A task carries only its run index. The
+    process pool is imported only when one is started.
+    """
     indices = range(config.n_runs)
     workers = min(config.n_jobs, config.n_runs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run_episode, itertools.repeat(config), indices,
-                                   chunksize=1))
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(config,)) as pool:
+            traces = list(pool.map(_run_in_worker, indices, chunksize=1))
     else:
         traces = [run_episode(config, i) for i in indices]
     return traces, summarize(traces)

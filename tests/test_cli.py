@@ -1,5 +1,10 @@
 """CLI surface: subcommands, exit codes, output files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,16 @@ def tiny_config(tmp_path):
         "m = 10\nn_runs = 2\nbase_seed = 9\n"
     )
     return path
+
+
+def test_import_leaves_the_process_pool_out():
+    # serial commands never start a pool, so they do not import one
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, delayed_bandits.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestRun:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -175,6 +176,27 @@ class TestEmpirical:
         assert len(pickle.dumps(dist)) < 8 * len(raw) + 500
 
 
+    def test_rejects_a_pool_that_is_not_one_dimensional(self):
+        # a 2-D pool once built, with a CDF and mean over its entries, and
+        # then drew row indices past its length
+        with pytest.raises(ValueError, match="one-dimensional"):
+            EmpiricalDelay(((1, 2), (3, 4)))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            EmpiricalDelay(5.0)
+
+    def test_an_array_pool_equals_a_tuple_pool_and_stays_unchanged(self):
+        raw = np.random.default_rng(6).uniform(0, 50, size=1000)
+        kept = raw.copy()
+        from_array = EmpiricalDelay(raw, scale=0.7)
+        from_tuple = EmpiricalDelay(tuple(raw.tolist()), scale=0.7)
+        assert np.array_equal(raw, kept)
+        assert from_array._values.dtype == np.int64
+        assert np.array_equal(from_array._values, from_tuple._values)
+        assert from_array._values.base is None  # its own array, not a view of raw
+        for k in range(-1, 37):
+            assert from_array.cdf(k) == from_tuple.cdf(k)
+        assert from_array.mean() == from_tuple.mean()
+
 class TestLognormal:
     def test_support_non_negative(self):
         rng = np.random.default_rng(2)
@@ -301,3 +323,24 @@ class TestLoadEmpirical:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_empirical(tmp_path / "nope.txt")
+
+    def test_a_bad_line_after_many_good_ones_reports_its_line(self, tmp_path):
+        path = tmp_path / "delays.txt"
+        path.write_text("1.5\n" * 100_000 + "bogus\n")
+        with pytest.raises(ValueError, match=r":100001: not a number: 'bogus'"):
+            load_empirical(path)
+
+    def test_loading_holds_the_pool_about_once(self, tmp_path):
+        # streamed into one float64 array and floored into one int64 pool:
+        # a list of floats and a tuple of them once peaked at 65 bytes
+        n = 100_000
+        path = tmp_path / "delays.txt"
+        path.write_text("".join(f"{0.37 * i}\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            dist = load_empirical(path, scale=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.cdf(n) == 1.0
+        assert peak <= 32 * n

@@ -1,5 +1,6 @@
 """Harness: config handling, episodes, batches, coverage, CSV round-trips."""
 
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -420,16 +421,31 @@ class TestRunBatch:
     def test_workers_capped_at_run_count(self, monkeypatch, n_runs, workers):
         started = []
 
-        class Pool(harness.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         config = replace(TINY, n_runs=n_runs)
         traces, _ = run_batch(replace(config, n_jobs=4))
         assert started == workers
         for a, b in zip(traces, run_batch(config)[0], strict=True):
+            assert np.array_equal(a.cum_regret, b.cum_regret)
+
+    def test_config_reaches_each_worker_once(self, monkeypatch):
+        # a task carries its run index only; the config, with its resolved
+        # delay, is pickled at most once per worker (not at all when forked)
+        pickled = []
+        reduce_ex = ExperimentConfig.__reduce_ex__
+        monkeypatch.setattr(ExperimentConfig, "__reduce_ex__",
+                            lambda self, protocol: pickled.append(self)
+                            or reduce_ex(self, protocol))
+        config = replace(TINY, n_runs=6)
+        traces, _ = run_batch(replace(config, n_jobs=2))
+        assert len(pickled) <= 2
+        for a, b in zip(traces, run_batch(config)[0], strict=True):
+            assert a.run_id == b.run_id
             assert np.array_equal(a.cum_regret, b.cum_regret)
 
     def test_summary_is_order_independent(self):
