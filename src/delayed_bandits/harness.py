@@ -86,10 +86,10 @@ class ExperimentConfig:
     exists is valid; a failed check or resolution raises ``ConfigError``.
     The derived values are cached properties, kept in the instance
     ``__dict__``, so they reach each worker process with the config, once,
-    when the worker starts (see ``run_batch``). ``dataclasses.replace`` builds, validates and resolves a
-    new instance. ``build_delay()`` constructs a new distribution on
-    every call. The fields are in ``metadata.txt`` order, because
-    ``resolved_items`` walks them.
+    when the worker starts (see ``run_batch``). ``dataclasses.replace``
+    builds, validates and resolves a new instance. ``build_delay()``
+    constructs a new distribution on every call. The fields are in
+    ``metadata.txt`` order, because ``resolved_items`` walks them.
     """
 
     d: int = 5
@@ -386,7 +386,8 @@ def summarize(traces: list) -> SummaryStats:
                         final_quantiles=quantiles)
 
 
-# the config of a worker process, set once when it starts
+# a worker process's config, set by _start_worker when the worker starts;
+# None in the process that runs the batch
 _worker_config: Optional[ExperimentConfig] = None
 
 

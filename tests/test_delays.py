@@ -175,7 +175,6 @@ class TestEmpirical:
         # the raw floats would add about 18 bytes each to the pickle
         assert len(pickle.dumps(dist)) < 8 * len(raw) + 500
 
-
     def test_rejects_a_pool_that_is_not_one_dimensional(self):
         # a 2-D pool once built, with a CDF and mean over its entries, and
         # then drew row indices past its length
@@ -196,6 +195,7 @@ class TestEmpirical:
         for k in range(-1, 37):
             assert from_array.cdf(k) == from_tuple.cdf(k)
         assert from_array.mean() == from_tuple.mean()
+
 
 class TestLognormal:
     def test_support_non_negative(self):
@@ -331,8 +331,8 @@ class TestLoadEmpirical:
             load_empirical(path)
 
     def test_loading_holds_the_pool_about_once(self, tmp_path):
-        # streamed into one float64 array and floored into one int64 pool:
-        # a list of floats and a tuple of them once peaked at 65 bytes
+        # streamed into one float64 array and floored into one int64 pool;
+        # a list of floats and a tuple of them peaked at 65 bytes a sample
         n = 100_000
         path = tmp_path / "delays.txt"
         path.write_text("".join(f"{0.37 * i}\n" for i in range(n)))
