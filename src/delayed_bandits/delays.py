@@ -9,6 +9,10 @@ randomness always comes from a caller-owned generator.
 from __future__ import annotations
 
 import math
+import os
+import re
+import stat
+import warnings
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
@@ -211,18 +215,74 @@ def _checked_samples(path: Path, lines):
         yield value
 
 
+# a '#' after the first non-blank character of its line: numpy's parser
+# would end the line there, where the line rule rejects it
+_COMMENT_AFTER_TEXT = re.compile(r"^[^\S\n]*[^\s#][^\n#]*#", re.MULTILINE)
+# the suffixes for which numpy decompresses the file it opens
+_NUMPY_DECOMPRESSES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _whole_lines(fh):
+    """The text of ``fh`` in chunks of about 64K characters, each ending
+    where a line does."""
+    while chunk := fh.read(1 << 16):
+        yield chunk if chunk.endswith("\n") else chunk + fh.readline()
+
+
+def _c_parsed(path: Path, fh) -> np.ndarray | None:
+    """The samples of ``path`` read by numpy's C parser, or None where that
+    read might differ from ``_checked_samples``.
+
+    ``fh`` is ``path`` open as UTF-8 text; it is scanned for '#' and
+    rewound. numpy opens the path again in text mode, so both reads see
+    the same lines; both strip the same whitespace and convert a field
+    with ``PyOS_string_to_double``, the C function ``float()`` ends in.
+    numpy's parser rejects what that function cannot read alone
+    (underscores, non-ASCII digits, two numbers, a blank line that is not
+    empty, a comment after blanks), so this returns None for those and for
+    what numpy reads but the line rule rejects: a '#' after a number, a ','
+    and a non-finite or negative value. A file that is not regular (a pipe
+    can be read once) and a name numpy would decompress are left to the
+    line rule as well.
+    """
+    if (not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            or path.name.endswith(_NUMPY_DECOMPRESSES)):
+        return None
+    try:
+        if any("#" in chunk and _COMMENT_AFTER_TEXT.search(chunk)
+               for chunk in _whole_lines(fh)):
+            return None
+        with warnings.catch_warnings():
+            # "input contained no data": a file of comments is empty here too
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, comments="#", delimiter=",", ndmin=2,
+                               encoding="utf-8", dtype=float)
+    # UnicodeDecodeError is a ValueError; OSError if numpy cannot open the path
+    except (OSError, ValueError):
+        return None
+    finally:
+        fh.seek(0)
+    if table.shape[1] != 1 or not (np.isfinite(table).all() and (table >= 0).all()):
+        return None
+    return table[:, 0]
+
+
 def load_empirical(path, scale: float = 1.0) -> EmpiricalDelay:
     """Read one non-negative number per line; '#' starts a comment line.
 
-    The lines are streamed into one float64 array, which ``EmpiricalDelay``
-    floors into its int64 pool: the load peaks at about 25 bytes per
+    numpy's C parser reads the file into one float64 array when it reads
+    it as ``_checked_samples`` would; any other file is checked line by
+    line, which gives every error message. ``EmpiricalDelay`` floors the
+    array into its int64 pool: the load peaks at about 25 bytes per
     sample. Raises ValueError naming the file, and the offending line on
     parse failures, when it is not UTF-8 text, does not parse or is empty.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            samples = np.fromiter(_checked_samples(path, fh), dtype=float)
+            samples = _c_parsed(path, fh)
+            if samples is None:
+                samples = np.fromiter(_checked_samples(path, fh), dtype=float)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if samples.size == 0:

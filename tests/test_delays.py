@@ -1,15 +1,21 @@
 """Delay distribution behavior: sampling, CDFs, windows, file loading."""
 
+import gzip
 import math
+import os
 import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from delayed_bandits import delays
 from delayed_bandits.bounds import regret_upper_bound
 from delayed_bandits.delays import (
     EmpiricalDelay,
@@ -314,10 +320,14 @@ class TestLoadEmpirical:
         with pytest.raises(ValueError, match=r":2: non-finite delay sample"):
             load_empirical(path)
 
-    def test_empty_file(self, tmp_path):
+    # np.loadtxt warns "input contained no data"; under -W error that
+    # warning would be raised in place of the message
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["# only comments\n", "", "\n\n", "# a\n#b\r\n"])
+    def test_empty_file(self, tmp_path, text):
         path = tmp_path / "delays.txt"
-        path.write_text("# only comments\n")
-        with pytest.raises(ValueError, match="empty delay sample file"):
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="^empty delay sample file: "):
             load_empirical(path)
 
     def test_missing_file(self, tmp_path):
@@ -344,3 +354,111 @@ class TestLoadEmpirical:
             tracemalloc.stop()
         assert dist.cdf(n) == 1.0
         assert peak <= 32 * n
+
+    def test_the_c_parser_alone_reads_plain_and_commented_files(self, tmp_path, monkeypatch):
+        # the line rule is the fallback; a file it has to read here would
+        # mean every load had quietly become slow again
+        def fail(path, lines):
+            raise AssertionError(f"{path} was read line by line")
+
+        monkeypatch.setattr(delays, "_checked_samples", fail)
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(b"10\n20.5\n30\n")
+        commented = tmp_path / "commented.txt"
+        commented.write_bytes(b"# delays, in rounds\r\n\r\n10\r\n\r\n20.5\r\n30\r\n")
+        for path in (plain, commented):
+            assert load_empirical(path)._values.tolist() == [10, 20, 30]
+
+    @pytest.mark.parametrize("line", ["3 # x", "3 4", "1,5"])
+    def test_a_line_that_is_not_one_number_fails_at_its_line(self, tmp_path, line):
+        # numpy's parser reads '3 # x' as 3 and '1,5' as two columns; the
+        # line rule reads one number per line
+        path = tmp_path / "delays.txt"
+        path.write_text(f"1\n{line}\n2\n")
+        with pytest.raises(ValueError, match=f":2: not a number: '{line}'$"):
+            load_empirical(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once(self):
+        # numpy's parser opens the path again, which would find a pipe empty
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"# piped\n4\n8\n")
+            os.close(write_end)
+            assert load_empirical(f"/dev/fd/{read_end}")._values.tolist() == [4, 8]
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("suffix", [".bz2", ".gz", ".lzma", ".xz"])
+    def test_a_name_numpy_would_decompress_is_read_as_text(self, tmp_path, suffix):
+        # np.loadtxt decompresses a path with these suffixes; the line rule
+        # reads its bytes as they are
+        text = tmp_path / f"delays.txt{suffix}"
+        text.write_text("1\n2\n")
+        assert load_empirical(text)._values.tolist() == [1, 2]
+
+    def test_a_compressed_file_is_not_utf8_text(self, tmp_path):
+        packed = tmp_path / "packed.gz"
+        packed.write_bytes(gzip.compress(b"1\n2\n"))
+        with pytest.raises(ValueError, match="not UTF-8 text"):
+            load_empirical(packed)
+
+
+# lines both numpy's parser and the line rule read: number spellings of
+# Python's float syntax, comments and empty lines
+PLAIN_LINES = st.one_of(
+    st.floats(min_value=0, max_value=1e6).map(repr),
+    st.sampled_from([" +3.5 ", ".5", "5.", "1e3", "-0", "7", "# c", "## a # b", ""]),
+)
+# lines only the line rule reads (underscores, non-ASCII digits, blanks that
+# ``str.strip`` removes, indented comments), and lines it rejects, though
+# numpy reads most of them
+ODD_LINES = st.sampled_from([
+    "1_0", "\u0663", "  # c", "\t# c", "\xa0# c", "  ", "\t",
+    "inf", "nan", "-1", "3 # x", "3#", "3 4", "1,5",
+])
+
+
+@st.composite
+def delay_files(draw):
+    """The bytes of a delay file: plain lines, perhaps one or two odd ones,
+    mixed line endings, a byte-order mark and invalid UTF-8."""
+    lines = draw(st.lists(PLAIN_LINES, max_size=10))
+    for line in draw(st.lists(ODD_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    endings = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no ending on the last line
+    data = text.encode()
+    data = draw(st.sampled_from([b"", b"", b"", b"", b"\xef\xbb\xbf"])) + data
+    invalid = draw(st.sampled_from([b"", b"", b"", b"", b"\xff", b"\xc3"]))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + invalid + data[at:]
+
+
+@pytest.fixture(scope="module")
+def delay_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "delays.txt"
+
+
+def loaded(path):
+    """The int64 pool of ``path``'s delays, or the ValueError message."""
+    try:
+        return load_empirical(path)._values.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=delay_files())
+@example(data=b"# h\r\n\r\n1\r\n2.5\r\n")
+@example(data=b"1\r2\r\r3")
+@example(data=b"\xef\xbb\xbf1\n")
+@example(data=b"1\n3 # x\n")
+@example(data=b"1,5\n")
+def test_the_c_parser_reads_each_file_as_the_line_rule(delay_path, data):
+    delay_path.write_bytes(data)
+    with mock.patch.object(delays, "_c_parsed", return_value=None):
+        line_rule = loaded(delay_path)
+    assert loaded(delay_path) == line_rule
