@@ -233,8 +233,8 @@ def _c_parsed(path: Path, fh) -> np.ndarray | None:
     """The samples of ``path`` read by numpy's C parser, or None where that
     read might differ from ``_checked_samples``.
 
-    ``fh`` is ``path`` open as UTF-8 text; it is scanned for '#' and
-    rewound. numpy opens the path again in text mode, so both reads see
+    ``fh`` is ``path`` open as UTF-8 text, a leading byte-order mark
+    skipped; it is scanned for '#' and rewound. numpy opens the path again in text mode, so both reads see
     the same lines; both strip the same whitespace and convert a field
     with ``PyOS_string_to_double``, the C function ``float()`` ends in.
     numpy's parser rejects what that function cannot read alone
@@ -256,7 +256,7 @@ def _c_parsed(path: Path, fh) -> np.ndarray | None:
             # "input contained no data": a file of comments is empty here too
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(path, comments="#", delimiter=",", ndmin=2,
-                               encoding="utf-8", dtype=float)
+                               encoding="utf-8-sig", dtype=float)
     # UnicodeDecodeError is a ValueError; OSError if numpy cannot open the path
     except (OSError, ValueError):
         return None
@@ -268,7 +268,8 @@ def _c_parsed(path: Path, fh) -> np.ndarray | None:
 
 
 def load_empirical(path, scale: float = 1.0) -> EmpiricalDelay:
-    """Read one non-negative number per line; '#' starts a comment line.
+    """Read one non-negative number per line; '#' starts a comment line, and
+    a leading byte-order mark is skipped.
 
     numpy's C parser reads the file into one float64 array when it reads
     it as ``_checked_samples`` would; any other file is checked line by
@@ -279,7 +280,7 @@ def load_empirical(path, scale: float = 1.0) -> EmpiricalDelay:
     """
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             samples = _c_parsed(path, fh)
             if samples is None:
                 samples = np.fromiter(_checked_samples(path, fh), dtype=float)

@@ -26,15 +26,10 @@ _REINVERT_PERIOD = 1000
 #: largest squared action norm accepted: the unit ball to ``ActionSet``'s
 #: tolerance, squared once here
 _MAX_SQ_NORM = (1.0 + NORM_TOL) ** 2
-#: entries of each (k, d, d) stack that ``record_actions`` folds at once, so
-#: that its V and V_inv stacks and their residuals stay in cache
+#: entries of ``out``'s (k + 1, d, d) stacks that ``record_actions`` folds at
+#: once, so that a chunk's V and V_inv entries and their residuals stay in
+#: cache
 STACK_ENTRIES = 32_768
-#: fewest rows per chunk at which a coverage call is faster by chunks than
-#: row by row (``sweep.chunk_crossover`` in BENCH_coverage_record.json:
-#: faster at 20 rows, d = 40, slower at 16, d = 45); below it (a short
-#: block, a chunk cut short by the periodic re-inversion, or d above 40)
-#: ``record_actions`` folds one row at a time
-_MIN_BLOCK_ROWS = 20
 
 
 def norms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -141,21 +136,23 @@ class WindowedEstimator:
 
     def record_actions(self, A: np.ndarray, out: tuple) -> None:
         """Fold the rows of the (k, d) array ``A`` in order, leaving the bits
-        of k ``record_action`` calls, and fill ``out``, coverage's pair of
-        (k, d, d) arrays, with V and V_inv as they were before each row.
+        of k ``record_action`` calls. ``out`` is coverage's pair of (k + 1,
+        d, d) arrays, in which the fold runs: entry i holds V and V_inv as
+        they were before row i, and entry k as they are after the last row.
 
-        Every row's norm is checked before any state changes. The rows are
+        Every row's norm and ``out``'s shapes are checked before any state
+        changes. The rows are
         then folded in chunks, each ending after ``STACK_ENTRIES // d**2``
-        rows (at least one) or at the next periodic re-inversion. A chunk of
-        at least ``_MIN_BLOCK_ROWS`` rows is folded at once: the design
-        matrices by adding the rank-one terms one at a time, as
-        ``record_action`` does, the inverses by the rank-one chain, then
-        every row's fidelity test in one batched product. If every row
-        passes, the chunk is kept whole, re-inverted after its last row if
-        that row is periodic. Otherwise, and for a shorter chunk, each row
-        of the chunk is folded as ``record_action`` folds it. So every
-        round is tested, the same rounds are re-inverted, and a failed test
-        costs at most its chunk again.
+        rows (at least one) or at the next periodic re-inversion. Each chunk
+        is folded at once: the design matrices by adding the rank-one terms
+        one at a time, as ``record_action`` does, the inverses by the
+        rank-one chain, then every row's fidelity test in one batched
+        product. If every row passes, the chunk is kept, re-inverted after
+        its last row if that row is periodic. Otherwise ``V`` and ``V_inv``
+        take the chunk's first entry and each of its rows is folded again
+        as ``record_action`` folds it. So every round is tested, the same
+        rounds are re-inverted, and a failed test costs at most its chunk
+        again. ``V`` and ``V_inv`` take entry k at the end.
         """
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[1] != self.d:
@@ -163,31 +160,28 @@ class WindowedEstimator:
         # each row's a @ a, as a batch of (1, d) @ (d, 1) products
         if not (A[:, None] @ A[:, :, None]).max(initial=0.0) <= _MAX_SQ_NORM:  # NaN too
             raise ValueError("action norm exceeds 1 or is not finite")
-        d, start = self.d, 0
-        size = max(1, STACK_ENTRIES // (d * d))
-        # a chunk's states: entry i before its row i, entry k after its last
-        Vs, V_invs = np.empty((2, min(size, len(A)) + 1, d, d))
+        Vs, V_invs = out
+        if not Vs.shape == V_invs.shape == (len(A) + 1, self.d, self.d):
+            raise ValueError(f"out shapes {Vs.shape} and {V_invs.shape} do not match "
+                             f"{len(A)} rows of d={self.d}")
+        Vs[0], V_invs[0] = self.V, self.V_inv
+        size, start = max(1, STACK_ENTRIES // (self.d * self.d)), 0
         while start < len(A):
             k = min(size, len(A) - start, (-self.t) % _REINVERT_PERIOD + 1)
             rows = A[start:start + k]
-            V, V_inv = Vs[:k + 1], V_invs[:k + 1]
-            whole = k >= _MIN_BLOCK_ROWS  # a shorter chunk does not repay its set-up
-            if whole:
-                V[0], V_inv[0] = self.V, self.V_inv
-                np.multiply(rows[:, :, None], rows[:, None], out=V[1:])
-                potential = self.potential
-                for i, a in enumerate(rows):
-                    V[i + 1] += V[i]
-                    term, sq = _rank_one(V_inv[i], a)
-                    np.subtract(V_inv[i], term, out=V_inv[i + 1])
-                    potential += sq
-                # NaN fails the test too
-                whole = bool((self._inverse_error(V[1:], V_inv[1:]) <= _FIDELITY_TOL).all())
-            if whole:
+            # the chunk's states: entry i before its row i, entry k after its last
+            V, V_inv = Vs[start:start + k + 1], V_invs[start:start + k + 1]
+            np.multiply(rows[:, :, None], rows[:, None], out=V[1:])
+            potential = self.potential
+            for i, a in enumerate(rows):
+                V[i + 1] += V[i]
+                term, sq = _rank_one(V_inv[i], a)
+                np.subtract(V_inv[i], term, out=V_inv[i + 1])
+                potential += sq
+            # NaN fails the test too
+            if (self._inverse_error(V[1:], V_inv[1:]) <= _FIDELITY_TOL).all():
                 if (self.t + k - 1) % _REINVERT_PERIOD == 0:
                     V_inv[k] = _inverted(V[k])
-                out[0][start:start + k], out[1][start:start + k] = V[:k], V_inv[:k]
-                self.V[...], self.V_inv[...] = V[k], V_inv[k]
                 self.potential = potential
                 # only the last rows that fit in the ring are stored
                 kept = rows[-self._rows:]
@@ -197,10 +191,12 @@ class WindowedEstimator:
                 self._size = min(self._size + k, self.m + 1)
                 self.t += k
             else:
-                for i, a in enumerate(rows, start):
-                    out[0][i], out[1][i] = self.V, self.V_inv
+                self.V[...], self.V_inv[...] = V[0], V_inv[0]
+                for i, a in enumerate(rows, 1):
                     self._fold(a)
+                    V[i], V_inv[i] = self.V, self.V_inv
             start += k
+        self.V[...], self.V_inv[...] = Vs[len(A)], V_invs[len(A)]
 
     def record_conversion(self, round_index: int) -> None:
         """Credit a revealed conversion to its action, if still in the window.

@@ -458,11 +458,12 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
     before that round's action: twice the exploration radius, ``V`` and
     ``V_inv`` of the one estimator of the shared design, and the (n_reps,
     d) credited sums of all replications. The next block overwrites
-    ``radii``, ``Vs`` and ``V_invs``. The estimator folds the block's
-    actions in one ``record_actions`` call, which also fills ``Vs`` and
-    ``V_invs``, each chunk of rows whole or row by row; Python runs once
-    per round only for the rank-one step and the radius. Conversions are
-    scheduled and credited a block at a time.
+    ``radii``, ``Vs`` and ``V_invs``, whose stacks are allocated once, with
+    one entry more than a block for the state after its last round. The
+    estimator folds the block's actions in one ``record_actions`` call,
+    which runs its rank-one chain in ``Vs`` and ``V_invs``; Python runs
+    once per round only for the rank-one step and the radius. Conversions
+    are scheduled and credited a block at a time.
     Replication ``rep`` draws its rewards and delays from the streams of
     run ``rep`` of ``base_seed + 1``, in the episodes' blocks, and its
     conversions are credited by the estimator's window rule. A replication
@@ -482,7 +483,7 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
     # credited conversions in flight, in round order: (reveal round, round,
     # rep) columns
     pending = np.empty((3, 0), dtype=np.int64)
-    radii, Vs, V_invs = np.empty(n), np.empty((n, d, d)), np.empty((n, d, d))
+    radii, (Vs, V_invs) = np.empty(n), np.empty((2, n + 1, d, d))
     for t0 in range(1, T + 1, n):
         j = (t0 - 1) % OUTCOME_BLOCK_ROUNDS
         if j == 0:
@@ -493,7 +494,7 @@ def _lockstep_blocks(config: ExperimentConfig, actions: np.ndarray, means: np.nd
         for i in range(k):
             radii[i] = 2.0 * estimator.exploration_radius_at(t0 - 1 + i, d, est.lam,
                                                              config.delta)
-        est.record_actions(actions[t0 - 1:t0 - 1 + k], (Vs[:k], V_invs[:k]))
+        est.record_actions(actions[t0 - 1:t0 - 1 + k], (Vs[:k + 1], V_invs[:k + 1]))
         # the block's conversions in round order, then replication order;
         # a delay clipped at T reveals after the horizon all the same, and
         # the reveal round cannot overflow

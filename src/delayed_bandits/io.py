@@ -109,11 +109,11 @@ def emit_csv(traces: list, stats: SummaryStats, out_dir) -> tuple[Path, Path]:
 
 
 def read_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment. A file that
-    cannot be opened, read or decoded as UTF-8 is a ``ConfigError`` that
-    names it."""
+    """Parse a flat ``key = value`` file; '#' starts a comment, and a leading
+    byte-order mark is skipped. A file that cannot be opened, read or
+    decoded as UTF-8 is a ``ConfigError`` that names it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"config file not found or unreadable: {path} ({reason})") from exc

@@ -41,9 +41,9 @@ LONG_DELAY = ExperimentConfig(d=2, K=10, T=3000, delay="geometric", delay_mean=1
 K_ARMED_HARD = dict(d=6, K=6, T=T, theta="k_armed_hard", hard_gap=0.15,
                     action_mode="fixed_basis", delay_mean=30.0, m=60)
 # coverage at T rounds of preset A's scenario where the estimator folds each
-# 128-round block in three chunks (d = 24) or row by row, every chunk being
-# too short (d = 50); the block of rounds 897-1024 holds the periodic
-# re-inversion at round 1000
+# 128-round block in three chunks (d = 24) or in ten of at most 13 rows
+# (d = 50); the block of rounds 897-1024 holds the periodic re-inversion at
+# round 1000
 WIDE = {f"A_d{d}": ExperimentConfig(**{**PRESETS["A"], "d": d, "T": T}) for d in (24, 50)}
 
 

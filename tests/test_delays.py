@@ -369,6 +369,30 @@ class TestLoadEmpirical:
         for path in (plain, commented):
             assert load_empirical(path)._values.tolist() == [10, 20, 30]
 
+    @pytest.mark.parametrize("alone", ["_c_parsed", "_checked_samples"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, alone):
+        # Windows tools often start UTF-8 text with one; each reader alone
+        # gives the pool of the same file without it
+        text = b"# delays, in rounds\r\n10\r\n20.5\r\n30\r\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want = load_empirical(plain)._values.tobytes()
+        if alone == "_c_parsed":
+            def fail(path, lines):
+                raise AssertionError(f"{path} was read line by line")
+
+            monkeypatch.setattr(delays, "_checked_samples", fail)
+        else:
+            monkeypatch.setattr(delays, "_c_parsed", lambda path, fh: None)
+        assert load_empirical(marked)._values.tobytes() == want
+
+    def test_a_byte_order_mark_after_the_start_fails_at_its_line(self, tmp_path):
+        path = tmp_path / "delays.txt"
+        path.write_bytes(b"1\n\xef\xbb\xbf2\n")
+        with pytest.raises(ValueError, match=r":2: not a number: '\\ufeff2'$"):
+            load_empirical(path)
+
     @pytest.mark.parametrize("line", ["3 # x", "3 4", "1,5"])
     def test_a_line_that_is_not_one_number_fails_at_its_line(self, tmp_path, line):
         # numpy's parser reads '3 # x' as 3 and '1,5' as two columns; the

@@ -1,6 +1,7 @@
 """Windowed estimator: linear algebra, window semantics, widths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,7 +135,8 @@ def state_bytes(est):
 def fold_both_ways(A, d, lam, m, cuts, t=1):
     """Fold ``A`` from round ``t`` on by one ``record_action`` per row and by
     ``record_actions`` on the blocks between ``cuts``; return both
-    estimators and, for each, the (V, V_inv) bytes before every row."""
+    estimators and, for each, the (V, V_inv) bytes before every row and
+    after the last."""
     single, block = WindowedEstimator(d, lam, m), WindowedEstimator(d, lam, m)
     for est in (single, block):
         # a ring filled from round t on leaves rows before its _size unset
@@ -144,9 +146,10 @@ def fold_both_ways(A, d, lam, m, cuts, t=1):
     for a in A:
         before.append((single.V.tobytes(), single.V_inv.tobytes()))
         single.record_action(a)
-    Vs, V_invs = np.empty((2, len(A), d, d))
+    before.append((single.V.tobytes(), single.V_inv.tobytes()))
+    Vs, V_invs = np.empty((2, len(A) + 1, d, d))
     for lo, hi in zip(cuts, cuts[1:]):
-        block.record_actions(A[lo:hi], (Vs[lo:hi], V_invs[lo:hi]))
+        block.record_actions(A[lo:hi], (Vs[lo:hi + 1], V_invs[lo:hi + 1]))
     return single, block, before, [(V.tobytes(), V_inv.tobytes()) for V, V_inv in zip(Vs, V_invs)]
 
 
@@ -156,8 +159,8 @@ class TestRecordActions:
     @pytest.mark.parametrize("seed", range(12))
     def test_block_equals_single_calls(self, seed):
         # d up to 24 gives several chunk sizes; 1100-2300 rows cross the re-inversion at t = 1000, and one
-        # block always spans it; blocks of one and two rows are folded by
-        # single calls
+        # block always spans it; blocks of one and two rows are chunks of
+        # their own
         rng = np.random.default_rng(seed)
         d, m, T = int(rng.integers(1, 25)), int(rng.integers(0, 300)), int(rng.integers(1100, 2300))
         lam = float(rng.uniform(0.05, 3.0))
@@ -198,7 +201,7 @@ class TestRecordActions:
         assert states == before
 
     @pytest.mark.parametrize("d, t, n", [
-        (50, 1, 1100),   # every chunk of 13 rows, too short: row by row
+        (50, 1, 1100),   # chunks of 13 rows, and of 11 to end a block
         (200, 985, 40),  # STACK_ENTRIES // d**2 is 0: chunks of one row
         (5, 1000, 300),  # a block whose first row is a periodic round
         (5, 990, 300),   # the periodic round cuts a chunk to 11 rows
@@ -223,6 +226,35 @@ class TestRecordActions:
         assert state_bytes(block) == state_bytes(single)
         assert states == before
 
+    @pytest.mark.parametrize("tol", [estimator._FIDELITY_TOL, 0.0])
+    def test_out_ends_with_the_state_after_the_last_row(self, monkeypatch, tol):
+        # at d = 24 the 128 rows are three chunks, folded at once or, at a
+        # tolerance of 0, each folded again row by row; entry k is the state
+        # the estimator keeps, and an entry past it is left alone
+        monkeypatch.setattr(estimator, "_FIDELITY_TOL", tol)
+        est = WindowedEstimator(d=24, lam=1.0, m=30)
+        A = random_unit_ball_actions(np.random.default_rng(4), 128, 24)
+        Vs, V_invs = np.full((2, 130, 24, 24), 7.0)
+        est.record_actions(A, (Vs[:129], V_invs[:129]))
+        assert Vs[128].tobytes() == est.V.tobytes()
+        assert V_invs[128].tobytes() == est.V_inv.tobytes()
+        assert (Vs[129] == 7.0).all() and (V_invs[129] == 7.0).all()
+
+    def test_a_coverage_block_holds_little_beyond_out(self):
+        # the chain runs in out itself: one 128-row call at d = 24 allocates
+        # less than two chunk stacks of STACK_ENTRIES floats
+        est = WindowedEstimator(d=24, lam=1.0, m=30)
+        A = random_unit_ball_actions(np.random.default_rng(5), 256, 24)
+        out = np.empty((2, 129, 24, 24))
+        est.record_actions(A[:128], (out[0], out[1]))  # warm-up
+        tracemalloc.start()
+        try:
+            est.record_actions(A[128:], (out[0], out[1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * estimator.STACK_ENTRIES * 8
+
     @pytest.mark.parametrize("row", [0, 50, 99])
     @pytest.mark.parametrize("bad", [1.0 + 2 * NORM_TOL, np.nan, np.inf])
     def test_one_bad_row_raises_and_changes_nothing(self, row, bad):
@@ -230,14 +262,28 @@ class TestRecordActions:
         # the last one must stop the first
         rng = np.random.default_rng(9)
         est = WindowedEstimator(d=30, lam=1.0, m=3)
-        est.record_actions(random_unit_ball_actions(rng, 5, 30), np.empty((2, 5, 30, 30)))
+        est.record_actions(random_unit_ball_actions(rng, 5, 30), np.empty((2, 6, 30, 30)))
         A = random_unit_ball_actions(rng, 100, 30)
         assert estimator.STACK_ENTRIES // 30**2 < 50
         A[row] = 0.0
         A[row, 7] = bad
-        Vs, V_invs = np.zeros((2, 100, 30, 30))
+        Vs, V_invs = np.zeros((2, 101, 30, 30))
         state = state_bytes(est)
         with pytest.raises(ValueError, match="norm exceeds 1"):
+            est.record_actions(A, (Vs, V_invs))
+        assert state_bytes(est) == state
+        assert not Vs.any() and not V_invs.any()
+
+    @pytest.mark.parametrize("shape", [(2, 100, 30, 30), (2, 102, 30, 30), (2, 101, 29, 29)])
+    def test_out_of_the_wrong_shape_raises_and_changes_nothing(self, shape):
+        # the chain runs in out: a stack one entry short would end it after
+        # the estimator had taken some chunks but not their V and V_inv
+        rng = np.random.default_rng(10)
+        est = WindowedEstimator(d=30, lam=1.0, m=3)
+        A = random_unit_ball_actions(rng, 100, 30)
+        Vs, V_invs = np.zeros(shape)
+        state = state_bytes(est)
+        with pytest.raises(ValueError, match="out shapes"):
             est.record_actions(A, (Vs, V_invs))
         assert state_bytes(est) == state
         assert not Vs.any() and not V_invs.any()
@@ -246,7 +292,7 @@ class TestRecordActions:
         est = WindowedEstimator(d=3, lam=1.0, m=2)
         for A in (np.ones((4, 2)) / 2, np.ones(3) / 2):
             with pytest.raises(ValueError, match="does not match"):
-                est.record_actions(A, np.empty((2, len(A), 3, 3)))
+                est.record_actions(A, np.empty((2, len(A) + 1, 3, 3)))
 
 
 class TestRecordConversion:

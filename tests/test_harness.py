@@ -557,6 +557,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="not found"):
             read_config_file(tmp_path / "absent.cfg")
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        text = "d = 4\nK = 6\nT = 25\ndelay = geometric\ndelay_mean = 8\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert build_config(read_config_file(marked)) == build_config(read_config_file(plain))
+        # one after the start is part of its key
+        marked.write_bytes(b"d = 4\n\xef\xbb\xbfK = 6\n")
+        with pytest.raises(ConfigError, match=r"unknown config key '\\ufeffK'"):
+            build_config(read_config_file(marked))
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("d 4\n")
